@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .atoms import CBF_TABLE, REGISTRY, atom_tags, validate_params
+from .atoms import ALIASES, CBF_TABLE, REGISTRY, atom_tags, validate_params
 from .errors import (
     ConstructionError,
     EvaluationError,
@@ -51,6 +51,7 @@ __all__ = [
     "expr_to_json",
     "expr_from_json",
     "spectral_node",
+    "spectral_measure",
     "describe",
 ]
 
@@ -146,6 +147,8 @@ def _complete(tags: Iterable[str]) -> frozenset:
 
 def _derive(kind: str, name: str, alpha, child_tags: list[frozenset],
             params=()) -> frozenset:
+    if kind == "atom":
+        return atom_tags(REGISTRY[name], dict(params))
     if kind == "affine":
         # conic combination with a nonnegative constant stays in each cone
         p = dict(params)
@@ -223,10 +226,10 @@ def _derive(kind: str, name: str, alpha, child_tags: list[frozenset],
 
 
 def _node(kind, name="", params=(), children=(), alpha=None,
-          extra_tags=frozenset(), levy=None) -> FunctionExpr:
+          levy=None) -> FunctionExpr:
     derived = _derive(kind, name, alpha, [c.tags for c in children], params)
     return FunctionExpr(kind, name, tuple(params), tuple(children), alpha,
-                        _complete(derived | set(extra_tags)), levy)
+                        _complete(derived), levy)
 
 
 def with_tags(e: FunctionExpr, tags: Iterable[str]) -> FunctionExpr:
@@ -243,31 +246,31 @@ def with_levy(e: FunctionExpr, triple: LevyTriple) -> FunctionExpr:
 
 
 def infer_class(e: FunctionExpr) -> frozenset:
-    """Monotone closure of cone tags from one bottom-up pass of all rules."""
-    child = [infer_class(c) for c in e.children]
-    if e.kind == "atom":
-        return _complete(e.tags)
-    return _complete(set(e.tags) | _derive(e.kind, e.name, e.alpha, child, e.params))
+    """The cone tags certified for e.
+
+    Every node derives its tags once, when it is built: atoms from catalog
+    facts, inner nodes by the closure rules from their children's tags, plus
+    any certificate attached through with_tags. This returns that stored
+    set, which is complete (CBF implies BF, S implies CM).
+    """
+    return e.tags
 
 
 # ----------------------------------------------------------------------
 # constructors
 
 def catalog(name: str, params: dict | None = None, **kw) -> FunctionExpr:
-    """Construct a catalog atom by name with validated parameters."""
-    spec = REGISTRY.get(name)
+    """Construct a catalog atom by name with validated parameters.
+
+    Names in atoms.ALIASES resolve to their canonical atom.
+    """
+    spec = REGISTRY.get(ALIASES.get(name, name))
     if spec is None:
         raise ParameterError(
             f"unknown atom name '{name}'; see catalog_names() for the catalog"
         )
     p = validate_params(spec, {**(params or {}), **kw})
-    return FunctionExpr(
-        kind="atom",
-        name=name,
-        params=tuple(sorted(p.items())),
-        tags=_complete(atom_tags(spec, p)),
-        levy=_build_levy(name, p),
-    )
+    return _node("atom", spec.name, sorted(p.items()), levy=_build_levy(spec.name, p))
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -382,16 +385,33 @@ def _sub_endpoints(x: np.ndarray) -> np.ndarray:
 
 
 def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
-    # rounding may push a theoretically nonnegative inner value a hair below 0
+    # rounding may push a theoretically nonnegative inner value a hair below 0;
+    # complex values have no sign to repair
+    if np.iscomplexobj(v):
+        return v
     finite = v[np.isfinite(v)]
     scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
     return np.where((v < 0.0) & (v > -1e-9 * scale), 0.0, v)
 
 
+# node kinds whose rules are only defined on the real half line
+_REAL_ONLY = frozenset({"combine", "dualize", "uchiyama", "spectral"})
+
+
 def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
+    """Evaluate e at real x >= 0 or at complex x on the right half plane."""
+    if e.kind in _REAL_ONLY and np.iscomplexobj(x):
+        raise EvaluationError(
+            f"complex evaluation is unsupported for node kind '{e.kind}'"
+        )
     if e.kind == "atom":
-        spec = REGISTRY[e.name]
-        p = e.params_dict
+        spec, p = REGISTRY[e.name], e.params_dict
+        if np.iscomplexobj(x):
+            if spec.complex_body is None:
+                raise EvaluationError(
+                    f"atom '{e.name}' has no complex continuation implemented"
+                )
+            return spec.complex_body(x, p)
         out = np.empty_like(x)
         zero = x == 0.0
         infm = np.isinf(x)
@@ -481,43 +501,16 @@ def evaluate(e: FunctionExpr, x):
 
 
 def evaluate_complex(e: FunctionExpr, z):
-    """Evaluate on the right half plane where the atoms extend analytically."""
+    """Evaluate on the right half plane where the atoms extend analytically.
+
+    Atoms use their complex continuation; combine, dualize, uchiyama and
+    spectral nodes raise EvaluationError.
+    """
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     pts = np.atleast_1d(zz)
-    vals = _ev_complex(e, pts)
+    vals = _ev(e, pts)
     return complex(vals[0]) if scalar else vals.reshape(zz.shape)
-
-
-def _ev_complex(e: FunctionExpr, z: np.ndarray) -> np.ndarray:
-    if e.kind == "atom":
-        spec = REGISTRY[e.name]
-        if spec.complex_body is None:
-            raise EvaluationError(
-                f"atom '{e.name}' has no complex continuation implemented"
-            )
-        return spec.complex_body(z, e.params_dict)
-    if e.kind == "affine":
-        p = e.params_dict
-        return p["shift"] + p["scale"] * _ev_complex(e.children[0], z)
-    if e.kind == "sum":
-        acc = _ev_complex(e.children[0], z).copy()
-        for c in e.children[1:]:
-            acc += _ev_complex(c, z)
-        return acc
-    if e.kind == "product":
-        acc = _ev_complex(e.children[0], z).copy()
-        for c in e.children[1:]:
-            acc *= _ev_complex(c, z)
-        return acc
-    if e.kind == "power":
-        return _ev_complex(e.children[0], z) ** e.alpha
-    if e.kind == "compose":
-        f, g = e.children
-        return _ev_complex(f, _ev_complex(g, z))
-    raise EvaluationError(
-        f"complex evaluation is unsupported for node kind '{e.kind}'"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -587,24 +580,29 @@ def _levy_integral(density: FunctionExpr, x: float) -> float:
 # where mu is the measure whose tail function is the Levy density m
 
 @functools.lru_cache(maxsize=64)
-def _resolve_spectral_mu(f: FunctionExpr):
+def spectral_measure(f: FunctionExpr):
+    """(drift, density of mu) for a spectral carrier f, density None if absent.
+
+    f must carry a Levy triple whose measure is a density m, not atoms; mu
+    is recovered from m(t) = mu[t, inf) by the atom's closed form where the
+    catalog has one, else by a central difference of m.
+    """
     triple = f.levy
     if triple is None:
         raise ConstructionError(
-            "spectral construction requires an expression carrying a Levy triple"
+            "spectral construction needs an expression carrying a Levy triple"
         )
     if triple.atoms:
         raise ConstructionError(
-            "spectral construction requires a Levy *density*; atomic measures "
-            "have no decreasing density m"
+            "spectral construction requires a density representation of the "
+            "Levy measure, not atoms"
         )
     if triple.density is None:
         return triple.drift, None
     if f.kind == "atom":
         hook = REGISTRY[f.name].spectral_mu
         if hook is not None:
-            drift, dens = hook(f.params_dict)
-            return drift, dens
+            return hook(f.params_dict)
     m = triple.density
     h = 1e-6
 
@@ -617,7 +615,7 @@ def _resolve_spectral_mu(f: FunctionExpr):
 
 @functools.lru_cache(maxsize=65536)
 def _spectral_value(f: FunctionExpr, hdist: float) -> float:
-    drift, dens = _resolve_spectral_mu(f)
+    drift, dens = spectral_measure(f)
     w = abs(hdist)
     if w == 0.0:
         return 0.0
@@ -652,69 +650,61 @@ def spectral_node(f: FunctionExpr) -> FunctionExpr:
 def expr_to_json(e: FunctionExpr) -> dict:
     if e.kind == "atom":
         d: dict = {"atom": e.name, "params": {k: v for k, v in e.params}}
-        if e.tags != _complete(atom_tags(REGISTRY[e.name], e.params_dict)):
-            d["tags"] = sorted(e.tags)
-        return d
-    d = {"op": e.kind}
-    if e.name:
-        d["rule"] = e.name
-    if e.alpha is not None:
-        d["alpha"] = e.alpha
-    if e.kind == "affine":
-        d.update(e.params_dict)
-    d["args"] = [expr_to_json(c) for c in e.children]
-    auto = _complete(_derive(e.kind, e.name, e.alpha,
-                             [c.tags for c in e.children], e.params))
-    if e.tags != auto:
+    else:
+        d = {"op": e.kind}
+        if e.name:
+            d["rule"] = e.name
+        if e.alpha is not None:
+            d["alpha"] = e.alpha
+        if e.kind == "affine":
+            d.update(e.params_dict)
+        d["args"] = [expr_to_json(c) for c in e.children]
+    derived = _derive(e.kind, e.name, e.alpha, [c.tags for c in e.children], e.params)
+    if e.tags != _complete(derived):
         d["tags"] = sorted(e.tags)
     return d
 
 
+def _field(d: dict, key: str):
+    if key not in d:
+        raise ParameterError(f"op '{d['op']}' needs '{key}'")
+    return d[key]
+
+
+# op -> (number of arguments, None if any; builder from (args, op JSON))
+_OPS = {
+    "sum": (None, lambda a, d: fsum(*a)),
+    "product": (None, lambda a, d: fprod(*a)),
+    "compose": (2, lambda a, d: compose(*a)),
+    "power": (1, lambda a, d: fpow(a[0], _field(d, "alpha"))),
+    "combine": (2, lambda a, d: combine(*a, d.get("rule", ""), d.get("alpha", math.nan))),
+    "dualize": (1, lambda a, d: dualize(a[0], d.get("rule", ""))),
+    "uchiyama": (3, lambda a, d: uchiyama(*a)),
+    "spectral": (1, lambda a, d: spectral_node(a[0])),
+    "affine": (1, lambda a, d: affine(a[0], shift=d.get("shift", 0.0),
+                                      scale=d.get("scale", 1.0))),
+}
+
+
 def expr_from_json(d: dict) -> FunctionExpr:
+    """Rebuild an expression; persisted "tags" join the derived ones."""
     if not isinstance(d, dict):
         raise ParameterError(f"expression JSON must be an object, got {type(d).__name__}")
     if "atom" in d:
         e = catalog(d["atom"], dict(d.get("params", {})))
     elif "op" in d:
         op = d["op"]
+        if not isinstance(op, str) or op not in _OPS:
+            raise ParameterError(
+                f"unknown expression op '{op}'; expected one of {', '.join(_OPS)}")
+        arity, build = _OPS[op]
         args = [expr_from_json(a) for a in d.get("args", [])]
-        if op == "sum":
-            e = fsum(*args)
-        elif op == "product":
-            e = fprod(*args)
-        elif op == "compose":
-            if len(args) != 2:
-                raise ParameterError("compose takes exactly two arguments")
-            e = compose(*args)
-        elif op == "power":
-            if len(args) != 1 or "alpha" not in d:
-                raise ParameterError("power takes one argument and an 'alpha'")
-            e = fpow(args[0], d["alpha"])
-        elif op == "combine":
-            if len(args) != 2:
-                raise ParameterError("combine takes exactly two arguments")
-            e = combine(args[0], args[1], d.get("rule", ""), d.get("alpha", math.nan))
-        elif op == "dualize":
-            if len(args) != 1:
-                raise ParameterError("dualize takes exactly one argument")
-            e = dualize(args[0], d.get("rule", ""))
-        elif op == "uchiyama":
-            if len(args) != 3:
-                raise ParameterError("uchiyama takes exactly three arguments")
-            e = uchiyama(*args)
-        elif op == "spectral":
-            if len(args) != 1:
-                raise ParameterError("spectral takes exactly one argument")
-            e = spectral_node(args[0])
-        elif op == "affine":
-            if len(args) != 1:
-                raise ParameterError("affine takes exactly one argument")
-            e = affine(args[0], shift=d.get("shift", 0.0), scale=d.get("scale", 1.0))
-        else:
-            raise ParameterError(f"unknown expression op '{op}'")
+        if arity is not None and len(args) != arity:
+            raise ParameterError(f"{op} takes exactly {arity} argument(s), got {len(args)}")
+        e = build(args, d)
     else:
         raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
     if "tags" in d:
         # persisted certificates are trusted on load
-        e = replace(e, tags=frozenset(d["tags"]))
+        e = with_tags(e, d["tags"])
     return e

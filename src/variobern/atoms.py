@@ -21,6 +21,7 @@ __all__ = [
     "AtomSpec",
     "ParamSpec",
     "REGISTRY",
+    "ALIASES",
     "CBF_TABLE",
     "validate_params",
     "atom_tags",
@@ -193,11 +194,11 @@ _register(AtomSpec(
     group="bernstein",
     params=(_unit_closed("alpha"), _pos("beta")),
     formula="1 - (1 + x^alpha)^(-beta)",
-    provenance="Bernstein function (generalized Cauchy family)",
+    provenance="Bernstein function (generalized Cauchy family), complete for beta <= 1",
     body=lambda x, p: -np.expm1(-p["beta"] * np.log1p(x ** p["alpha"])),
     zero=lambda p: 0.0,
     inf=lambda p: 1.0,
-    tags=lambda p: frozenset({"BF"}),
+    tags=lambda p: frozenset({"CBF"} if p["beta"] <= 1.0 else {"BF"}),
 ))
 
 _register(AtomSpec(
@@ -205,11 +206,11 @@ _register(AtomSpec(
     group="bernstein",
     params=(_unit_open("rho"), _unit_open("gamma")),
     formula="(x^rho / (1 + x^rho))^gamma",
-    provenance="Bernstein function (Dagum family)",
+    provenance="complete Bernstein function (Dagum family)",
     body=lambda x, p: np.exp(-p["gamma"] * np.log1p(x ** -p["rho"])),
     zero=lambda p: 0.0,
     inf=lambda p: 1.0,
-    tags=lambda p: frozenset({"BF"}),
+    tags=lambda p: frozenset({"CBF"}),
 ))
 
 _register(AtomSpec(
@@ -332,30 +333,6 @@ _register(AtomSpec(
 ))
 
 # --- complete Bernstein table ------------------------------------------------
-
-_register(AtomSpec(
-    name="cauchy_cbf",
-    group="cbf_table",
-    params=(_unit_closed("alpha"), _unit_closed("beta")),
-    formula="1 - (1 + x^alpha)^(-beta)",
-    provenance="complete Bernstein function (table family)",
-    body=lambda x, p: -np.expm1(-p["beta"] * np.log1p(x ** p["alpha"])),
-    zero=lambda p: 0.0,
-    inf=lambda p: 1.0,
-    tags=lambda p: frozenset({"CBF"}),
-))
-
-_register(AtomSpec(
-    name="dagum_cbf",
-    group="cbf_table",
-    params=(_unit_open("rho"), _unit_open("gamma")),
-    formula="(x^rho / (1 + x^rho))^gamma",
-    provenance="complete Bernstein function (table family)",
-    body=lambda x, p: np.exp(-p["gamma"] * np.log1p(x ** -p["rho"])),
-    zero=lambda p: 0.0,
-    inf=lambda p: 1.0,
-    tags=lambda p: frozenset({"CBF"}),
-))
 
 _register(AtomSpec(
     name="power_frac_ratio",
@@ -536,10 +513,13 @@ _register(AtomSpec(
 ))
 
 
+# former names of the table's Cauchy and Dagum entries, still accepted on load
+ALIASES: dict[str, str] = {"cauchy_cbf": "cauchy", "dagum_cbf": "dagum"}
+
 # canonical 12-member complete Bernstein table used by the certification suite
 CBF_TABLE: tuple[tuple[str, dict], ...] = (
-    ("cauchy_cbf", {"alpha": 0.5, "beta": 1.0}),
-    ("dagum_cbf", {"rho": 0.5, "gamma": 0.5}),
+    ("cauchy", {"alpha": 0.5, "beta": 1.0}),
+    ("dagum", {"rho": 0.5, "gamma": 0.5}),
     ("power_frac_ratio", {"alpha": 0.5}),
     ("sqrt_expsat", {"a": 1.0}),
     ("shifted_sqrt_expsat", {"a": 1.0}),

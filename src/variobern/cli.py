@@ -229,64 +229,62 @@ def _expr_arg(d, key: str) -> alg.FunctionExpr:
     return alg.expr_from_json(d[key])
 
 
+def _shift_kernel_recipe(ctor: str, args: dict) -> dict:
+    if "base" not in args or "eta" not in args:
+        raise VarioBernError(f"{ctor} recipe needs 'base' and 'eta'")
+    base = models.model_from_json(args["base"])
+    eta = np.asarray(args["eta"], dtype=float).reshape(base.d)
+    # construct to surface any gate errors, then describe
+    getattr(kernels, ctor)(base, eta)
+    return {
+        "kind": ctor,
+        "base": models.model_to_json(base),
+        "eta": eta.tolist(),
+        "certified": base.certified,
+    }
+
+
+# constructor name -> builder from the recipe args; builders return a
+# radial model, except the shift kernels, which return a payload dict
+_RECIPES = {
+    "ma_product": lambda a: models.ma_product(
+        float(a.get("a1", 1.0)), float(a.get("a2", 1.0)),
+        d=int(a.get("d", 1)), A=a.get("A")),
+    "schur_product_extended": lambda a: models.schur_product_extended(
+        _expr_arg(a, "g1"), _expr_arg(a, "g2"),
+        float(a.get("alpha", 0.5)), float(a.get("beta", 0.5)),
+        d=int(a.get("d", 1)), A=a.get("A")),
+    "cbf_variograms": lambda a: models.cbf_variograms(
+        _expr_arg(a, "g"), str(a.get("which", "ratio")),
+        d=int(a.get("d", 1)), A=a.get("A")),
+    "composition_products": lambda a: models.composition_products(
+        _expr_arg(a, "g1"), _expr_arg(a, "g2"),
+        alg.expr_from_json(a["g3"]) if "g3" in a else None,
+        which=str(a.get("which", "two_factor")),
+        d=int(a.get("d", 1)), A=a.get("A")),
+    "difference_kernel": lambda a: _shift_kernel_recipe("difference_kernel", a),
+    "sum_kernel": lambda a: _shift_kernel_recipe("sum_kernel", a),
+    "spectral_variogram": lambda a: kernels.spectral_variogram(_expr_arg(a, "f")),
+    "wendland": lambda a: models.wendland(
+        float(a.get("r", 1.0)), int(a.get("l", 1)), int(a.get("d", 1)),
+        A=a.get("A")),
+    "spherical": lambda a: models.spherical(
+        float(a.get("range", 1.0)), int(a.get("d", 1)), A=a.get("A")),
+}
+
+
 def _build_recipe(recipe: dict):
     """Return ('model', radial model) or ('kernel', payload dict)."""
     ctor = recipe.get("constructor")
     args = recipe.get("args", {})
     if not isinstance(args, dict):
         raise VarioBernError("recipe 'args' must be an object")
-
-    if ctor == "ma_product":
-        return "model", models.ma_product(
-            float(args.get("a1", 1.0)), float(args.get("a2", 1.0)),
-            d=int(args.get("d", 1)), A=args.get("A"))
-    if ctor == "schur_product_extended":
-        return "model", models.schur_product_extended(
-            _expr_arg(args, "g1"), _expr_arg(args, "g2"),
-            float(args.get("alpha", 0.5)), float(args.get("beta", 0.5)),
-            d=int(args.get("d", 1)), A=args.get("A"))
-    if ctor == "cbf_variograms":
-        return "model", models.cbf_variograms(
-            _expr_arg(args, "g"), str(args.get("which", "ratio")),
-            d=int(args.get("d", 1)), A=args.get("A"))
-    if ctor == "composition_products":
-        g3 = alg.expr_from_json(args["g3"]) if "g3" in args else None
-        return "model", models.composition_products(
-            _expr_arg(args, "g1"), _expr_arg(args, "g2"), g3,
-            which=str(args.get("which", "two_factor")),
-            d=int(args.get("d", 1)), A=args.get("A"))
-    if ctor == "wendland":
-        return "model", models.wendland(
-            float(args.get("r", 1.0)), int(args.get("l", 1)),
-            int(args.get("d", 1)), A=args.get("A"))
-    if ctor == "spherical":
-        return "model", models.spherical(
-            float(args.get("range", 1.0)), int(args.get("d", 1)),
-            A=args.get("A"))
-    if ctor == "spectral_variogram":
-        return "model", kernels.spectral_variogram(_expr_arg(args, "f"))
-    if ctor in ("difference_kernel", "sum_kernel"):
-        if "base" not in args or "eta" not in args:
-            raise VarioBernError(f"{ctor} recipe needs 'base' and 'eta'")
-        base = models.model_from_json(args["base"])
-        eta = np.asarray(args["eta"], dtype=float).reshape(base.d)
-        # construct to surface any gate errors, then describe
-        if ctor == "difference_kernel":
-            kernels.difference_kernel(base, eta)
-        else:
-            kernels.sum_kernel(base, eta)
-        payload = {
-            "kind": ctor,
-            "base": models.model_to_json(base),
-            "eta": eta.tolist(),
-            "certified": base.certified,
-        }
-        return "kernel", payload
-    raise VarioBernError(
-        f"unknown constructor {ctor!r}; available: ma_product, "
-        "schur_product_extended, cbf_variograms, composition_products, "
-        "difference_kernel, sum_kernel, spectral_variogram, wendland, "
-        "spherical")
+    build = _RECIPES.get(ctor) if isinstance(ctor, str) else None
+    if build is None:
+        raise VarioBernError(
+            f"unknown constructor {ctor!r}; available: {', '.join(_RECIPES)}")
+    built = build(args)
+    return ("kernel" if isinstance(built, dict) else "model"), built
 
 
 def cmd_construct(args) -> int:

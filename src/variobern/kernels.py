@@ -136,21 +136,13 @@ def spectral_variogram(f: FunctionExpr, grid=None, tol: float = 1e-9) -> Variogr
 
     by split quadrature with an oscillatory-weight tail.
     """
+    dens = alg.spectral_measure(f)[1]
     triple = f.levy
-    if triple is None:
-        raise ConstructionError(
-            "spectral construction needs an expression carrying a Levy triple"
-        )
-    if triple.atoms:
-        raise ConstructionError(
-            "spectral construction requires a density representation of the "
-            "Levy measure, not atoms"
-        )
     if triple.constant != 0.0:
         raise ConstructionError(
             "spectral construction requires a vanishing constant term"
         )
-    if triple.density is not None:
+    if dens is not None:
         g = np.logspace(-3, 3, 61) if grid is None else np.asarray(grid, float)
         m_vals = evaluate(triple.density, g)
         rises = np.diff(m_vals)
@@ -160,7 +152,7 @@ def spectral_variogram(f: FunctionExpr, grid=None, tol: float = 1e-9) -> Variogr
             raise ParameterError(
                 f"Levy density must be decreasing: m({g[i]:g}) < m({g[i + 1]:g})"
             )
-        _check_mu_integrability(f)
+        _check_mu_integrability(dens)
     profile = alg.spectral_node(f)
     return Variogram(
         profile=profile, mode="norm", anisotropy=np.eye(1), d=1,
@@ -169,10 +161,7 @@ def spectral_variogram(f: FunctionExpr, grid=None, tol: float = 1e-9) -> Variogr
     )
 
 
-def _check_mu_integrability(f: FunctionExpr) -> None:
-    drift, dens = alg._resolve_spectral_mu(f)
-    if dens is None:
-        return
+def _check_mu_integrability(dens) -> None:
     with np.errstate(all="ignore"):
         head = quad(lambda s: s * s * dens(s), 0.0, 1.0,
                     epsabs=1e-9, epsrel=1e-9, limit=200)

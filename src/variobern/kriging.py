@@ -116,7 +116,7 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
 def _check_sites(pts: PointSet) -> None:
     if pts.values is None:
         raise ParameterError("kriging needs observed values at the sites")
-    if pts.n > 1 and pts.min_separation() == 0.0:
+    if len(np.unique(pts.coords, axis=0)) < pts.n:
         raise DegenerateSystemError("duplicate sites make the system singular")
 
 

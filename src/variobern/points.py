@@ -125,12 +125,19 @@ def write_points_csv(ps: PointSet, path) -> None:
             w.writerow(row)
 
 
+# consecutive rejections after which under about 0.1% of the box is free
+_MAX_MISSES = 1000
+
+
 def sample_point_sets(n_sets: int, n_points: int, d: int, seed: int,
                       box: float = 1.0, min_sep: float = 1e-3) -> list[PointSet]:
     """Seeded batches of uniform point sets with a minimum pair separation.
 
     Separation keeps the certification oracles away from duplicate-point
-    degeneracies; resampling is by rejection, one point at a time.
+    degeneracies; resampling is by rejection, one point at a time. Random
+    sequential placement jams below the density gate (at about 0.7476 of a
+    line), so a point that misses _MAX_MISSES draws in a row raises
+    ParameterError instead of looping on.
     """
     if min_sep >= box / max(2.0, n_points ** (1.0 / d)):
         raise ParameterError("min_sep too large for the requested density")
@@ -138,11 +145,19 @@ def sample_point_sets(n_sets: int, n_points: int, d: int, seed: int,
     out = []
     for _ in range(n_sets):
         pts = np.empty((n_points, d))
-        k = 0
+        k = misses = 0
         while k < n_points:
             cand = rng.uniform(0.0, box, size=d)
             if k == 0 or np.sqrt(((pts[:k] - cand) ** 2).sum(axis=1)).min() >= min_sep:
                 pts[k] = cand
                 k += 1
+                misses = 0
+                continue
+            misses += 1
+            if misses == _MAX_MISSES:
+                raise ParameterError(
+                    f"min_sep too large: no room for point {k + 1} of {n_points} "
+                    f"after {_MAX_MISSES} rejected draws in a row"
+                )
         out.append(PointSet(pts))
     return out

@@ -409,3 +409,71 @@ def test_describe_is_readable():
     text = vb.describe(vb.compose(vb.catalog("log1p"),
                                   vb.catalog("power", {"a": 0.5})))
     assert "log1p" in text and "power" in text
+
+
+# ----------------------------------------------------------------------
+# one atom per family, stored tags
+
+@pytest.mark.parametrize("alias,params,body", [
+    ("cauchy_cbf", {"alpha": 0.5, "beta": 1.0},
+     lambda x, p: -np.expm1(-p["beta"] * np.log1p(x ** p["alpha"]))),
+    ("dagum_cbf", {"rho": 0.5, "gamma": 0.5},
+     lambda x, p: np.exp(-p["gamma"] * np.log1p(x ** -p["rho"]))),
+])
+def test_former_table_names_load_as_aliases(alias, params, body):
+    """JSON naming a former table atom evaluates exactly as its old body."""
+    e = vb.expr_from_json({"atom": alias, "params": params})
+    assert e.name == alias.removesuffix("_cbf")
+    assert vb.infer_class(e) == {"BF", "CBF"}
+    x = np.logspace(-6, 6, 41)
+    assert np.array_equal(vb.evaluate(e, x), body(x, params))
+    assert alias not in vb.catalog_names()
+
+
+def test_cauchy_is_complete_only_for_beta_up_to_one():
+    assert vb.infer_class(vb.catalog("cauchy", {"alpha": 0.5, "beta": 2.0})) == {"BF"}
+    assert vb.infer_class(vb.catalog("cauchy", {"alpha": 0.5, "beta": 1.0})) == {"BF", "CBF"}
+    assert vb.infer_class(vb.catalog("dagum", {"rho": 0.9, "gamma": 0.1})) == {"BF", "CBF"}
+    assert len(vb.cbf_table()) == 12
+
+
+_CBF_COMPOSE = {"op": "compose", "args": [
+    {"atom": "log1p"}, {"atom": "frac_linear", "params": {"lam": 1.0}}]}
+
+
+@pytest.mark.parametrize("d,want", [
+    ({**_CBF_COMPOSE, "tags": []}, {"BF", "CBF"}),
+    ({**_CBF_COMPOSE, "tags": ["BF"]}, {"BF", "CBF"}),
+    ({"atom": "one_minus_cos", "params": {}, "tags": ["CBF"]}, {"BF", "CBF"}),
+    ({"atom": "recip", "params": {}, "tags": ["S"]}, {"CM", "S"}),
+])
+def test_persisted_tags_join_the_derived_set(d, want):
+    e = vb.expr_from_json(d)
+    assert vb.infer_class(e) == e.tags == want
+
+
+def test_persisted_unknown_tag_is_rejected():
+    with pytest.raises(ParameterError, match="unknown cone"):
+        vb.expr_from_json({"atom": "log1p", "params": {}, "tags": ["BF", "XYZ"]})
+
+
+def test_unknown_op_lists_the_ops():
+    for op in ("warp", ["sum"]):
+        with pytest.raises(ParameterError, match="unknown expression op") as info:
+            vb.expr_from_json({"op": op, "args": []})
+    for name in ("sum", "product", "compose", "power", "combine", "dualize",
+                 "uchiyama", "spectral", "affine"):
+        assert name in str(info.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f, g: vb.combine(f, g, "geometric", 0.5),
+    lambda f, g: vb.dualize(f, "reciprocal"),
+    lambda f, g: vb.uchiyama(f, g, f),
+    lambda f, g: vb.spectral_node(f),
+])
+def test_complex_evaluation_rejects_real_only_nodes(build):
+    f = vb.catalog("frac_linear", {"lam": 1.0})
+    e = build(f, vb.catalog("log1p"))
+    with pytest.raises(EvaluationError, match="unsupported for node kind"):
+        vb.evaluate_complex(e, 1.0 + 1.0j)

@@ -327,3 +327,38 @@ def test_report_record_lookup(pts012):
     rep = vb.cnd_check(abs_gamma, pts012)
     with pytest.raises(KeyError):
         rep.record("nope")
+
+
+def test_variogram_axioms_evaluates_the_lags_once(pts012):
+    shapes = []
+
+    def gamma(lags):
+        shapes.append(np.shape(lags))
+        return abs_gamma(lags)
+
+    rep = vb.variogram_axioms(gamma, pts012)
+    assert rep.passed
+    n, d = pts012.n, pts012.d
+    assert shapes == [(1, d), (n, n, d)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (vb.ma_product(1.0, 2.0, d=2), 2),
+    lambda: (vb.make_variogram(vb.catalog("log1p"), A=[[1.0, 0.3], [0.0, 2.0]], d=2), 2),
+    lambda: (vb.spectral_variogram(vb.catalog("log1p")), 1),
+])
+def test_kernel_matrix_transpose_is_the_negated_lag_evaluation(build):
+    """Evenness is read off G.T, which must equal gamma(-lags) bitwise."""
+    model, d = build()
+    rng = np.random.default_rng(5)
+    pts = vb.PointSet(rng.uniform(-2.0, 2.0, size=(7, d)))
+    g = vb.kernel_matrix(model, pts)
+    assert np.array_equal(g.T, model(-pts.lags()))
+
+
+def test_variogram_axioms_evenness_witness_is_the_worst_lag(pts012):
+    odd = lambda lags: np.asarray(lags)[..., 0] + abs_gamma(lags)
+    w = vb.variogram_axioms(odd, pts012).record("evenness").witness
+    lag = np.array(w["lag"])
+    assert w["gap"] == pytest.approx(abs(float(odd(lag) - odd(-lag))))
+    assert w["gap"] == pytest.approx(2.0 * np.abs(pts012.lags()[..., 0]).max())

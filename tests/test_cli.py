@@ -367,3 +367,14 @@ def test_error_goes_to_stderr_not_stdout(capsys):
     assert code == 2
     assert out == ""
     assert "malformed" in err
+
+
+def test_construct_unknown_constructor_lists_every_recipe(capsys):
+    for ctor in ("magic", ["ma_product"]):
+        code, _, err = run(capsys, "construct", "--model",
+                           json.dumps({"constructor": ctor, "args": {}}))
+        assert code == 2 and "unknown constructor" in err
+    for name in ("ma_product", "schur_product_extended", "cbf_variograms",
+                 "composition_products", "difference_kernel", "sum_kernel",
+                 "spectral_variogram", "wendland", "spherical"):
+        assert name in err

@@ -234,3 +234,12 @@ def test_empirical_variogram_shape_gates():
         vb.empirical_variogram(np.zeros((3, 5)), pts, bins=3)
     with pytest.raises(ParameterError, match="increasing"):
         vb.empirical_variogram(np.zeros((3, 2)), pts, bins=[1.0, 0.5])
+
+
+def test_kriging_duplicate_sites_detected_in_any_order():
+    exp2 = vb.exponential_covariance(1.0, d=2)
+    pts = obs([[0.0, 1.0], [2.0, 2.0], [-0.0, 1.0]], [0.0, 1.0, 2.0])
+    with pytest.raises(DegenerateSystemError, match="duplicate"):
+        vb.ordinary_kriging(exp2, pts, [0.5, 0.5])
+    near = obs([[0.0, 1.0], [2.0, 2.0], [1e-9, 1.0]], [0.0, 1.0, 2.0])
+    assert np.isfinite(vb.ordinary_kriging(exp2, near, [0.5, 0.5], mode="dense").prediction)

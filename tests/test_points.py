@@ -95,3 +95,27 @@ def test_sample_point_sets_separation(n, d, seed):
 def test_sample_min_sep_density_gate():
     with pytest.raises(ParameterError):
         vb.sample_point_sets(1, 100, 1, seed=0, box=1.0, min_sep=0.5)
+
+
+def test_sample_point_sets_jammed_line_raises():
+    """The density gate admits this request, but random sequential
+    placement on a line jams at about 0.7476 coverage, far short of
+    1000 points 0.00099 apart; the sampler must stop, not loop."""
+    with pytest.raises(ParameterError, match="rejected draws"):
+        vb.sample_point_sets(1, 1000, 1, seed=0, box=1.0, min_sep=0.00099)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_point_sets_draws_match_unbounded_rejection(seed):
+    """Bounding the rejection loop leaves every successful draw unchanged."""
+    n, min_sep = 600, 1e-3  # dense enough that candidates get rejected
+    rng = np.random.default_rng(seed)
+    want = np.empty((n, 1))
+    k = 0
+    while k < n:
+        cand = rng.uniform(0.0, 1.0, size=1)
+        if k == 0 or np.sqrt(((want[:k] - cand) ** 2).sum(axis=1)).min() >= min_sep:
+            want[k] = cand
+            k += 1
+    (ps,) = vb.sample_point_sets(1, n, 1, seed=seed, box=1.0, min_sep=min_sep)
+    assert np.array_equal(ps.coords, want)
