@@ -1,9 +1,10 @@
 """Ordinary kriging and conditional-free simulation on a small design.
 
 Uses a compactly supported covariance so the sparse path has something to
-exploit, checks the classical identities (exact interpolation, unit weight
-sum, dense/sparse agreement), then closes the loop: simulate replicates
-from an exponential model and recover its variogram empirically.
+exploit, checks the classical identities (exact interpolation with zero
+kriging variance, unit weight sum, dense/sparse agreement), then closes the
+loop: simulate replicates from an exponential model and recover its
+variogram empirically.
 """
 
 import numpy as np
@@ -30,16 +31,17 @@ target = np.array([1.5, 1.5])
 dense = vb.ordinary_kriging(cov, sites, target, mode="dense")
 sparse = vb.ordinary_kriging(cov, sites, target, mode="sparse")
 print(f"  dense  prediction {dense.prediction:.8f}   "
-      f"sum of weights {dense.weights.sum():.12f}")
+      f"sum of weights {dense.weights.sum():.12f}   "
+      f"variance {dense.variance:.6f}")
 print(f"  sparse prediction {sparse.prediction:.8f}   "
       f"|dense - sparse| = {abs(dense.prediction - sparse.prediction):.2e}")
 
 print()
-print("exactness: predicting at a data site returns its value")
-for j in (0, 12, 24):
-    res = vb.ordinary_kriging(cov, sites, sites.coords[j])
+print("exactness: predicting at a data site returns its value, variance 0")
+picks = [0, 12, 24]
+for j, res in zip(picks, vb.krige_many(cov, sites, sites.coords[picks])):
     print(f"  site {j:2d}: value {sites.values[j]:+.6f}   "
-          f"prediction {res.prediction:+.6f}")
+          f"prediction {res.prediction:+.6f}   variance {abs(res.variance):.1e}")
 
 print()
 print("variograms krige identically to their covariances")

@@ -73,6 +73,7 @@ from .kriging import (
     SimulationSpec,
     build_gamma_matrix,
     empirical_variogram,
+    krige_many,
     ordinary_kriging,
     simulate_field,
 )
@@ -120,7 +121,7 @@ __all__ = [
     "spectral_variogram", "sum_kernel", "tabulate_kernel_csv",
     # kriging
     "KrigingResult", "SimulationSpec", "build_gamma_matrix",
-    "empirical_variogram", "ordinary_kriging", "simulate_field",
+    "empirical_variogram", "krige_many", "ordinary_kriging", "simulate_field",
     # models
     "StationaryCovariance", "Variogram", "cbf_variograms",
     "composition_products", "covariance_from_variogram",

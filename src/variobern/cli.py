@@ -335,10 +335,9 @@ def cmd_krige(args) -> int:
     config = {"command": "krige", "model": models.model_to_json(model),
               "points": args.points, "grid": args.grid, "mode": args.mode,
               "tol": args.tol, "out": args.out}
-    preds = []
-    for t in targets:
-        res = kriging.ordinary_kriging(model, pts, t, mode=args.mode)
-        preds.append({"target": t.tolist(), **res.to_json()})
+    results = kriging.krige_many(model, pts, targets, mode=args.mode)
+    preds = [{"target": t.tolist(), **res.to_json(), "variance": res.variance,
+              "residual": res.residual} for t, res in zip(targets, results)]
     payload = {"config": config, "predictions": preds}
     _emit(_json_text(payload), args.out)
     return EXIT_PASS

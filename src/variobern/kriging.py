@@ -6,9 +6,15 @@ The kriging system is the bordered form
     [ 1' 0 ] [ mu ] = [ 1  ]
 
 with K the variogram or covariance matrix on the data sites and k0 the
-model values against the target. The sparse path factorizes the inner block
-(compactly supported covariances only) and eliminates the border by a Schur
-complement, so sparse and dense weights agree to solver accuracy.
+model values against the target. The system is factored once per call:
+``krige_many`` assembles K once and solves every target as one column of a
+matrix right-hand side. The dense path is one LU of the bordered matrix. The
+sparse path (compactly supported covariances only, covariance tapering in the
+sense of Furrer, Genton and Nychka, 2006) is one sparse LU of K, with the
+border eliminated by a Schur complement, so sparse and dense weights agree to
+solver accuracy. Each result carries the kriging variance (Cressie,
+*Statistics for Spatial Data*, 1993, section 3.2) and the residual of its
+bordered system.
 
 Simulation factorizes the covariance Gram matrix by eigendecomposition,
 repairing tolerance-level negative eigenvalues with a recorded diagonal
@@ -34,6 +40,7 @@ __all__ = [
     "KrigingResult",
     "SimulationSpec",
     "build_gamma_matrix",
+    "krige_many",
     "ordinary_kriging",
     "simulate_field",
     "empirical_variogram",
@@ -42,10 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrigingResult:
+    """One target's prediction, weights and Lagrange multiplier mu.
+
+    variance is the ordinary-kriging variance: w'k0 + mu for a variogram,
+    C(0) - w'k0 - mu for a covariance. residual is the largest absolute
+    residual of the target's bordered system, as solved.
+    """
+
     prediction: float
     weights: np.ndarray
     lagrange: float
     mode: str
+    variance: float = math.nan
+    residual: float = math.nan
 
     def to_json(self) -> dict:
         return {
@@ -120,46 +136,66 @@ def _check_sites(pts: PointSet) -> None:
         raise DegenerateSystemError("duplicate sites make the system singular")
 
 
-def ordinary_kriging(model, pts: PointSet, target, mode: str = "dense") -> KrigingResult:
-    """Best linear unbiased prediction at the target with unit-sum weights."""
+def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[KrigingResult]:
+    """Ordinary kriging at every row of targets, shape (T, d), in one solve.
+
+    The site checks, the model matrix and its factorization are done once;
+    the T right-hand sides are solved together. Each target still has its
+    own dense residual gate. Models that are not a StationaryCovariance are
+    read as variograms for the kriging variance.
+    """
     _check_sites(pts)
-    target = np.asarray(target, dtype=float).reshape(pts.d)
-    k0 = np.asarray(model(target[None, :] - pts.coords), dtype=float)
-    n = pts.n
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != pts.d:
+        raise ParameterError(
+            f"targets must have shape (T, {pts.d}), got {targets.shape}")
+    k = build_gamma_matrix(model, pts, mode)
+    k0 = np.asarray(model(targets[None, :, :] - pts.coords[:, None, :]), dtype=float)
+    n, t = k0.shape
     if mode == "dense":
-        k = build_gamma_matrix(model, pts, "dense")
-        bordered = np.zeros((n + 1, n + 1))
+        bordered = np.ones((n + 1, n + 1))
         bordered[:n, :n] = k
-        bordered[:n, n] = 1.0
-        bordered[n, :n] = 1.0
-        rhs = np.concatenate([k0, [1.0]])
+        bordered[n, n] = 0.0
+        rhs = np.vstack([k0, np.ones((1, t))])
         try:
             sol = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"kriging system is singular: {exc}") from None
-        resid = float(np.abs(bordered @ sol - rhs).max())
-        if not np.isfinite(sol).all() or resid > 1e-6 * max(1.0, float(np.abs(rhs).max())):
+        resid = np.abs(bordered @ sol - rhs).max(axis=0)
+        gate = 1e-6 * np.maximum(1.0, np.abs(rhs).max(axis=0))
+        if not np.isfinite(sol).all() or (resid > gate).any():
             raise DegenerateSystemError(
-                f"kriging system is numerically singular (residual {resid:g})"
+                f"kriging system is numerically singular (residual {resid.max():g})"
             )
-        weights, mu = sol[:n], float(sol[n])
-    elif mode == "sparse":
-        k = build_gamma_matrix(model, pts, "sparse")
+        weights, mu = sol[:n], sol[n]
+    else:
         try:
             lu = splu(k)
         except RuntimeError as exc:
             raise DegenerateSystemError(f"sparse factorization failed: {exc}") from None
-        x = lu.solve(k0)
-        y = lu.solve(np.ones(n))
+        xy = lu.solve(np.column_stack([k0, np.ones(n)]))
+        x, y = xy[:, :t], xy[:, t]
         denom = float(np.ones(n) @ y)
         if abs(denom) < 1e-300:
             raise DegenerateSystemError("border elimination degenerate: 1' K^-1 1 = 0")
-        mu = float((np.ones(n) @ x - 1.0) / denom)
-        weights = x - mu * y
+        mu = (np.ones(n) @ x - 1.0) / denom
+        weights = x - np.outer(y, mu)
+        resid = np.maximum(np.abs(k @ weights + mu - k0).max(axis=0),
+                           np.abs(weights.sum(axis=0) - 1.0))
+    wk0 = np.einsum("it,it->t", weights, k0)
+    if isinstance(model, StationaryCovariance):
+        variance = float(model(np.zeros((1, pts.d)))[0]) - wk0 - mu
     else:
-        raise ParameterError("mode must be dense | sparse")
-    prediction = float(weights @ pts.values)
-    return KrigingResult(prediction, weights, mu, mode)
+        variance = wk0 + mu
+    weights = np.ascontiguousarray(weights.T)
+    predictions = weights @ pts.values
+    return [KrigingResult(float(p), w, float(m), mode, float(v), float(r))
+            for p, w, m, v, r in zip(predictions, weights, mu, variance, resid)]
+
+
+def ordinary_kriging(model, pts: PointSet, target, mode: str = "dense") -> KrigingResult:
+    """Best linear unbiased prediction at the target with unit-sum weights."""
+    return krige_many(model, pts, np.reshape(target, (1, pts.d)), mode)[0]
 
 
 def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
@@ -203,17 +239,24 @@ def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):
         raise ParameterError(
             f"replicates must have shape (R, {pts.n}), got {z.shape}"
         )
+    iu, ju = np.triu_indices(pts.n, k=1)
+    d = np.sqrt(((pts.coords[iu] - pts.coords[ju]) ** 2).sum(-1))
     if np.isscalar(bins):
-        diff = pts.lags()
-        dmax = float(np.sqrt((diff * diff).sum(-1)).max())
-        edges = np.linspace(0.0, dmax, int(bins) + 1)
+        edges = np.linspace(0.0, float(d.max(initial=0.0)), int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ParameterError("bin edges must be strictly increasing")
-    iu, ju = np.triu_indices(pts.n, k=1)
-    d = np.sqrt(((pts.coords[iu] - pts.coords[ju]) ** 2).sum(-1))
-    sq = 0.5 * (z[:, iu] - z[:, ju]) ** 2  # (R, n_pairs)
+    # per-pair sums of (Z_i - Z_j)^2 / 2 over replicates, one site row at a
+    # time in the pair order of triu_indices, so temporaries are O(R n); the
+    # differences are taken exactly, not from Gram sums that cancel
+    zt = np.ascontiguousarray(z.T)
+    sums = np.empty(iu.size)
+    start = 0
+    for i in range(pts.n - 1):
+        diff = zt[i + 1:] - zt[i]
+        sums[start:start + diff.shape[0]] = 0.5 * np.einsum("jr,jr->j", diff, diff)
+        start += diff.shape[0]
     rows = []
     for b in range(edges.size - 1):
         lo, hi = float(edges[b]), float(edges[b + 1])
@@ -222,6 +265,7 @@ def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):
         else:
             mask = (d >= lo) & (d < hi)
         count = int(mask.sum())
-        gamma_hat = float(sq[:, mask].mean()) if count else float("nan")
+        gamma_hat = (float(sums[mask].sum() / (z.shape[0] * count)) if count
+                     else float("nan"))
         rows.append((lo, hi, count, gamma_hat))
     return rows

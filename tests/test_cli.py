@@ -378,3 +378,17 @@ def test_construct_unknown_constructor_lists_every_recipe(capsys):
                  "composition_products", "difference_kernel", "sum_kernel",
                  "spectral_variogram", "wendland", "spherical"):
         assert name in err
+
+
+def test_krige_reports_variance_and_residual(capsys, tmp_path):
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0], [3.0]], [1.0, 2.0, 0.0])
+    code, out, _ = run(capsys, "krige", "--model", EXP_COV,
+                       "--points", sites, "--grid", "0:3:4")
+    assert code == 0
+    preds = json.loads(out)["predictions"]
+    assert len(preds) == 4
+    # targets 0, 1, 2, 3: all but 2 are data sites
+    assert [p["variance"] == pytest.approx(0.0, abs=1e-10) for p in preds] == [
+        True, True, False, True]
+    assert preds[2]["variance"] > 0.0
+    assert all(0.0 <= p["residual"] < 1e-10 for p in preds)

@@ -1,6 +1,7 @@
 """Ordinary kriging, sparse mode, simulation, empirical variograms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,3 +244,127 @@ def test_kriging_duplicate_sites_detected_in_any_order():
         vb.ordinary_kriging(exp2, pts, [0.5, 0.5])
     near = obs([[0.0, 1.0], [2.0, 2.0], [1e-9, 1.0]], [0.0, 1.0, 2.0])
     assert np.isfinite(vb.ordinary_kriging(exp2, near, [0.5, 0.5], mode="dense").prediction)
+
+
+# ----------------------------------------------------------------------
+# batched kriging, variance and residual
+
+def _bordered_reference(model, pts, target):
+    """Per-target ordinary kriging by one dense solve of the bordered system."""
+    n = pts.n
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = model(pts.lags())
+    a[n, n] = 0.0
+    rhs = np.append(model(np.asarray(target) - pts.coords), 1.0)
+    sol = np.linalg.solve(a, rhs)
+    return sol[:n] @ pts.values, sol[:n], sol[n]
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_krige_many_matches_per_target_reference(mode, rng):
+    model = vb.ma_product(0.5, 1.5, d=2) if mode == "dense" else vb.wendland(1.5, 2, d=2)
+    pts = obs(rng.uniform(0, 5, size=(60, 2)), rng.normal(size=60))
+    targets = rng.uniform(0, 5, size=(7, 2))
+    results = vb.krige_many(model, pts, targets, mode=mode)
+    assert len(results) == len(targets)
+    for target, res in zip(targets, results):
+        pred, w, mu = _bordered_reference(model, pts, target)
+        assert res.mode == mode
+        assert abs(res.prediction - pred) <= 1e-10
+        assert np.abs(res.weights - w).max() <= 1e-10
+        assert abs(res.lagrange - mu) <= 1e-10
+        assert 0.0 <= res.residual < 1e-10
+
+
+def test_krige_many_single_target_equals_ordinary_kriging(wendland_model, rng):
+    pts = obs(rng.uniform(0, 4, size=(25, 2)), rng.normal(size=25))
+    target = np.array([1.7, 2.2])
+    for mode in ("dense", "sparse"):
+        [many] = vb.krige_many(wendland_model, pts, target[None, :], mode=mode)
+        one = vb.ordinary_kriging(wendland_model, pts, target, mode=mode)
+        assert many.prediction == one.prediction
+        assert np.array_equal(many.weights, one.weights)
+        assert (many.lagrange, many.variance, many.residual) == (
+            one.lagrange, one.variance, one.residual)
+
+
+def test_krige_many_gates(exp_model):
+    targets = np.array([[0.0], [0.5]])
+    with pytest.raises(DegenerateSystemError, match="duplicate"):
+        vb.krige_many(exp_model, obs([[1.0], [1.0]], [0.0, 1.0]), targets)
+    with pytest.raises(ParameterError, match="values"):
+        vb.krige_many(exp_model, vb.PointSet(np.array([[0.0], [1.0]])), targets)
+    pts = obs([[0.0], [1.0]], [0.0, 1.0])
+    with pytest.raises(ParameterError, match="dense | sparse"):
+        vb.krige_many(exp_model, pts, targets, mode="banded")
+    with pytest.raises(ParameterError, match="shape"):
+        vb.krige_many(exp_model, pts, np.zeros(2))
+
+
+def test_kriging_variance_zero_at_sites(rng):
+    cov = vb.exponential_covariance(0.8, d=2)
+    pts = obs(rng.uniform(0, 3, size=(12, 2)), rng.normal(size=12))
+    for model in (cov, vb.variogram_from_covariance(cov), vb.ma_product(1.0, 2.0, d=2)):
+        for res in vb.krige_many(model, pts, pts.coords):
+            assert abs(res.variance) <= 1e-10
+
+
+def test_kriging_variance_is_the_variogram_quadratic_form(rng):
+    """sigma^2 = 2 w'gamma0 - w'Gamma w for a variogram (Cressie 1993, 3.2)."""
+    gamma = vb.ma_product(1.0, 2.0, d=2)
+    pts = obs(rng.uniform(0, 3, size=(15, 2)), rng.normal(size=15))
+    big = gamma(pts.lags())
+    for target in rng.uniform(0, 3, size=(4, 2)):
+        res = vb.ordinary_kriging(gamma, pts, target)
+        g0 = gamma(target - pts.coords)
+        want = 2.0 * res.weights @ g0 - res.weights @ big @ res.weights
+        assert res.variance == pytest.approx(want, abs=1e-10)
+        assert res.variance > 0.0
+
+
+def test_kriging_variance_same_for_covariance_and_its_variogram(rng):
+    cov = vb.wendland(1.5, 2, d=2)
+    gamma = vb.variogram_from_covariance(cov)
+    pts = obs(rng.uniform(0, 3, size=(20, 2)), rng.normal(size=20))
+    targets = rng.uniform(0, 3, size=(5, 2))
+    for a, b in zip(vb.krige_many(cov, pts, targets), vb.krige_many(gamma, pts, targets)):
+        assert a.variance == pytest.approx(b.variance, abs=1e-10)
+        assert 0.0 < a.variance <= 2.0 * cov.sill
+    for a, b in zip(vb.krige_many(cov, pts, targets, mode="sparse"),
+                    vb.krige_many(cov, pts, targets)):
+        assert a.variance == pytest.approx(b.variance, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# empirical variogram, streamed
+
+def test_empirical_variogram_matches_pair_array_formula(rng):
+    """Equal to the mean over the (replicates, site pairs) array."""
+    pts = vb.PointSet(rng.uniform(0, 4, size=(30, 2)))
+    z = rng.normal(size=(40, 30)) + np.linspace(0.0, 3.0, 30)
+    iu, ju = np.triu_indices(pts.n, k=1)
+    d = np.linalg.norm(pts.coords[iu] - pts.coords[ju], axis=-1)
+    sq = 0.5 * (z[:, iu] - z[:, ju]) ** 2
+    rows = vb.empirical_variogram(z, pts, bins=7)
+    assert rows[-1][1] == d.max()
+    for b, (lo, hi, count, gh) in enumerate(rows):
+        mask = (d >= lo) & ((d <= hi) if b == len(rows) - 1 else (d < hi))
+        assert count == int(mask.sum())
+        if count:
+            assert gh == pytest.approx(float(sq[:, mask].mean()), rel=1e-12)
+        else:
+            assert math.isnan(gh)
+
+
+def test_empirical_variogram_memory_is_linear_in_replicates(rng):
+    """No (replicates, site pairs) array: 200 sites x 500 replicates would
+    need 80 MB for one such array."""
+    pts = vb.PointSet(rng.uniform(0, 10, size=(200, 2)))
+    z = rng.normal(size=(500, 200))
+    tracemalloc.start()
+    try:
+        vb.empirical_variogram(z, pts, bins=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
