@@ -13,7 +13,11 @@ Every check reduces to finite linear algebra or finite differencing:
   constancy) are grid programs over the same tolerance conventions.
 
 All tolerances are relative to an explicit scale and echoed in the report,
-so multiplying a kernel by a positive constant never flips a verdict.
+so multiplying a kernel by a positive constant never flips a verdict. One
+policy holds for every oracle: a tolerance that is not positive raises
+ParameterError; an evaluation that raises or returns non-finite values gives
+an inconclusive record; and only a failing record carries a witness (except
+the annulus probe, whose pass reports the plateau it found).
 """
 
 from __future__ import annotations
@@ -108,6 +112,57 @@ def _inconclusive(name: str, tol: float, exc: Exception) -> CheckRecord:
 
 
 # ----------------------------------------------------------------------
+# the shared verdict policy
+
+def _frame(check: str, tol: float, **echo) -> dict:
+    """The tolerance gate of every oracle and the config its report echoes."""
+    if tol <= 0:
+        raise ParameterError("tol must be positive")
+    return {"check": check, "tol": tol, **echo}
+
+
+def _scale(*values) -> float:
+    """Scale of a relative bound: the largest magnitude, and at least 1."""
+    return max(1.0, *(float(np.abs(v).max()) for v in values))
+
+
+def _record(name: str, ok, statistic, tol: float, witness, detail: str = "",
+            on_pass: dict | None = None) -> CheckRecord:
+    """The one verdict rule; ``witness()`` runs only when the bound fails."""
+    if ok:
+        return CheckRecord(name, "pass", float(statistic), tol, on_pass)
+    return CheckRecord(name, "fail", float(statistic), tol, witness(), detail)
+
+
+def _worst(name: str, excess: np.ndarray, scale: float, tol: float, witness,
+           detail: str = "") -> CheckRecord:
+    """Record of max(excess) <= tol * scale; ``witness(*index, worst)``."""
+    at = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    worst = float(excess[at])
+    return _record(name, worst <= tol * scale, worst / scale, tol,
+                   lambda: witness(*at, worst), detail)
+
+
+def _finite(f, *xs, what: str = "values on the grid") -> list[np.ndarray]:
+    """The evaluation gate: f at each of xs, all finite, as float arrays."""
+    vals = [np.asarray(f(x), dtype=float) for x in xs]
+    if not all(np.all(np.isfinite(v)) for v in vals):
+        raise VarioBernError(f"non-finite {what}")
+    return vals
+
+
+def _report(config: dict, name: str, evaluate, verdicts) -> PermissibilityReport:
+    """The frame of an oracle after its gates: a VarioBernError from
+    ``evaluate()`` gives one inconclusive record, else ``verdicts(*values)``
+    builds the records."""
+    try:
+        values = evaluate()
+    except VarioBernError as exc:
+        return PermissibilityReport((_inconclusive(name, config["tol"], exc),), config)
+    return PermissibilityReport(tuple(verdicts(*values)), config)
+
+
+# ----------------------------------------------------------------------
 # kernel-matrix machinery
 
 def kernel_matrix(kernel, pts: PointSet) -> np.ndarray:
@@ -144,63 +199,45 @@ def cnd_check(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
     the restriction is <= tol * max(1, max|G|). A failure carries the
     offending contrast a (with sum a = 0) and its quadratic form a' G a.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    config = {"check": "cnd", "tol": tol, "n": pts.n, "d": pts.d}
-    try:
-        g = kernel_matrix(gamma, pts)
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("cnd", tol, exc),), config)
-    return PermissibilityReport((_cnd_record(g, tol),), config)
+    config = _frame("cnd", tol, n=pts.n, d=pts.d)
+    return _report(config, "cnd", lambda: [kernel_matrix(gamma, pts)],
+                   lambda g: [_cnd_record(g, tol)])
 
 
 def _cnd_record(g: np.ndarray, tol: float) -> CheckRecord:
     sym = 0.5 * (g + g.T)
-    scale = max(1.0, float(np.abs(g).max()))
+    scale = _scale(g)
     b = contrast_basis(g.shape[0])
     reduced = b.T @ sym @ b
     reduced = 0.5 * (reduced + reduced.T)
     w, v = np.linalg.eigh(reduced)
     lam = float(w[-1])
-    ok = lam <= tol * scale
-    witness = None
-    if not ok:
+
+    def witness():
         a = b @ v[:, -1]
         a = a - a.mean()  # enforce the zero-sum constraint exactly
-        witness = {
-            "contrast": a.tolist(),
-            "quadratic_form": float(a @ sym @ a),
-            "eigenvalue": lam,
-            "scale": scale,
-        }
-    return CheckRecord("cnd", "pass" if ok else "fail", lam / scale, tol, witness)
+        return {"contrast": a.tolist(), "quadratic_form": float(a @ sym @ a),
+                "eigenvalue": lam, "scale": scale}
+
+    return _record("cnd", lam <= tol * scale, lam / scale, tol, witness)
 
 
 def pd_check(cov, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
     """Positive definiteness (PSD up to tolerance) of cov on the sites."""
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    config = {"check": "pd", "tol": tol, "n": pts.n, "d": pts.d}
-    try:
-        c = kernel_matrix(cov, pts)
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("pd", tol, exc),), config)
+    config = _frame("pd", tol, n=pts.n, d=pts.d)
+    return _report(config, "pd", lambda: [kernel_matrix(cov, pts)],
+                   lambda c: [_pd_record(c, tol)])
+
+
+def _pd_record(c: np.ndarray, tol: float) -> CheckRecord:
     sym = 0.5 * (c + c.T)
-    scale = max(1.0, float(np.abs(c).max()))
+    scale = _scale(c)
     w, v = np.linalg.eigh(sym)
     lam = float(w[0])
-    ok = lam >= -tol * scale
-    witness = None
-    if not ok:
-        a = v[:, 0]
-        witness = {
-            "weights": a.tolist(),
-            "quadratic_form": float(a @ sym @ a),
-            "eigenvalue": lam,
-            "scale": scale,
-        }
-    rec = CheckRecord("pd", "pass" if ok else "fail", lam / scale, tol, witness)
-    return PermissibilityReport((rec,), config)
+    a = v[:, 0]
+    return _record("pd", lam >= -tol * scale, lam / scale, tol, lambda: {
+        "weights": a.tolist(), "quadratic_form": float(a @ sym @ a),
+        "eigenvalue": lam, "scale": scale})
 
 
 def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
@@ -210,30 +247,20 @@ def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityR
     exactly, so gamma(-lag) is read off the transpose of the one kernel
     matrix that the CND check uses as well.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    config = {"check": "variogram_axioms", "tol": tol, "n": pts.n, "d": pts.d}
+    config = _frame("variogram_axioms", tol, n=pts.n, d=pts.d)
     records: list[CheckRecord] = []
     try:
         origin = float(np.asarray(gamma(np.zeros((1, pts.d))))[0])
-        records.append(CheckRecord(
-            "origin", "pass" if origin >= -tol else "fail", origin, tol,
-            None if origin >= -tol else {"value": origin},
-        ))
+        records.append(_record("origin", origin >= -tol, origin, tol,
+                               lambda: {"value": origin}))
         g = kernel_matrix(gamma, pts)
     except VarioBernError as exc:
         records.append(_inconclusive("axioms", tol, exc))
         records.append(_inconclusive("cnd", tol, exc))
         return PermissibilityReport(tuple(records), config)
-    odd = np.abs(g - g.T)
-    scale = max(1.0, float(np.abs(g).max()))
-    i, j = np.unravel_index(int(odd.argmax()), odd.shape)
-    gap = float(odd[i, j])
-    lag = pts.coords[i] - pts.coords[j]
-    records.append(CheckRecord(
-        "evenness", "pass" if gap <= tol * scale else "fail", gap / scale, tol,
-        None if gap <= tol * scale else {"lag": lag.tolist(), "gap": gap},
-    ))
+    records.append(_worst(
+        "evenness", np.abs(g - g.T), _scale(g), tol,
+        lambda i, j, gap: {"lag": (pts.coords[i] - pts.coords[j]).tolist(), "gap": gap}))
     records.append(_cnd_record(g, tol))
     return PermissibilityReport(tuple(records), config)
 
@@ -241,11 +268,19 @@ def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityR
 # ----------------------------------------------------------------------
 # divided-difference oracles
 
-def _as_grid(grid) -> np.ndarray:
+def _as_grid(grid, check: str, tol: float, nonnegative: bool = False,
+             **echo) -> tuple[np.ndarray, dict]:
+    """Gate of the grid oracles: a strictly increasing 1-D grid that is
+    strictly positive (nonnegative for squared-radius profiles), plus the
+    config that echoes it."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
         raise ParameterError("grid must be a strictly increasing 1-D array")
-    return g
+    if g[0] < 0 or (g[0] == 0 and not nonnegative):
+        raise ParameterError(f"{check}_check grid must be "
+                             + ("nonnegative" if nonnegative else "strictly positive"))
+    return g, _frame(check, tol, **echo,
+                     grid=[float(g[0]), float(g[-1]), int(g.size)])
 
 
 def _divided_difference_records(prefix: str, values: np.ndarray, grid: np.ndarray,
@@ -274,15 +309,17 @@ def _divided_difference_records(prefix: str, values: np.ndarray, grid: np.ndarra
         scale = max(scale, 1e-300)
         margin = signed + tol * scale + err
         i = int(np.argmin(margin))
-        ok = margin[i] >= 0.0
-        witness = None if ok else {
-            "order": k, "x": float(grid[i]), "value": float(dd[i]),
-        }
-        records.append(CheckRecord(
-            f"{prefix}order_{k}", "pass" if ok else "fail",
-            float(signed[i] / scale), tol, witness,
-        ))
+        records.append(_record(
+            f"{prefix}order_{k}", margin[i] >= 0.0, signed[i] / scale, tol,
+            lambda: {"order": k, "x": float(grid[i]), "value": float(dd[i])}))
     return records
+
+
+def _nonnegative(g: np.ndarray, vals: np.ndarray, scale: float,
+                 tol: float) -> CheckRecord:
+    i = int(np.argmin(vals))
+    return _record("nonnegative", vals[i] >= -tol * scale, vals[i] / scale, tol,
+                   lambda: {"x": float(g[i]), "value": float(vals[i])})
 
 
 def cm_check(f, grid, max_order: int = 8, tol: float = 1e-9) -> PermissibilityReport:
@@ -291,50 +328,27 @@ def cm_check(f, grid, max_order: int = 8, tol: float = 1e-9) -> PermissibilityRe
     Checks (-1)^k D^k f >= -tol * scale_k for Newton divided differences of
     orders 0..max_order on the grid, with a per-order relative scale.
     """
-    g = _as_grid(grid)
-    if np.any(g <= 0):
-        raise ParameterError("cm_check grid must be strictly positive")
+    g, config = _as_grid(grid, "cm", tol, max_order=max_order)
     if not 1 <= max_order < g.size:
         raise ParameterError("need 1 <= max_order < len(grid)")
-    config = {"check": "cm", "tol": tol, "max_order": max_order,
-              "grid": [float(g[0]), float(g[-1]), int(g.size)]}
-    try:
-        vals = np.asarray(f(g), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise VarioBernError("non-finite values on the grid")
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("cm", tol, exc),), config)
-    recs = _divided_difference_records("cm_", vals, g, max_order, tol)
-    return PermissibilityReport(tuple(recs), config)
+    return _report(config, "cm", lambda: _finite(f, g), lambda vals:
+                   _divided_difference_records("cm_", vals, g, max_order, tol))
 
 
 def bernstein_check(f, grid, max_order: int = 6, tol: float = 1e-9) -> PermissibilityReport:
     """f >= 0 plus complete monotonicity of the first difference quotients."""
-    g = _as_grid(grid)
-    if np.any(g <= 0):
-        raise ParameterError("bernstein_check grid must be strictly positive")
+    g, config = _as_grid(grid, "bernstein", tol, max_order=max_order)
     if not 1 <= max_order < g.size - 1:
         raise ParameterError("need 1 <= max_order < len(grid) - 1")
-    config = {"check": "bernstein", "tol": tol, "max_order": max_order,
-              "grid": [float(g[0]), float(g[-1]), int(g.size)]}
-    try:
-        vals = np.asarray(f(g), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise VarioBernError("non-finite values on the grid")
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("bernstein", tol, exc),), config)
-    scale0 = max(1e-300, float(np.abs(vals).max()))
-    i = int(np.argmin(vals))
-    ok0 = vals[i] >= -tol * scale0
-    records = [CheckRecord(
-        "nonnegative", "pass" if ok0 else "fail", float(vals[i] / scale0), tol,
-        None if ok0 else {"x": float(g[i]), "value": float(vals[i])},
-    )]
-    quot = np.diff(vals) / np.diff(g)
-    mid = 0.5 * (g[1:] + g[:-1])
-    records.extend(_divided_difference_records(
-        "derivative_cm_", quot, mid, max_order - 1, tol))
-    return PermissibilityReport(tuple(records), config)
+
+    def verdicts(vals):
+        quot = np.diff(vals) / np.diff(g)
+        mid = 0.5 * (g[1:] + g[:-1])
+        return [_nonnegative(g, vals, max(1e-300, float(np.abs(vals).max())), tol),
+                *_divided_difference_records("derivative_cm_", quot, mid,
+                                             max_order - 1, tol)]
+
+    return _report(config, "bernstein", lambda: _finite(f, g), verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -346,62 +360,43 @@ def polya_check(phi, grid, tol: float = 1e-9) -> PermissibilityReport:
     A pass certifies positive definiteness on the line (even, decreasing,
     convex functions are admissible there).
     """
-    g = _as_grid(grid)
-    if np.any(g <= 0):
-        raise ParameterError("polya_check grid must be strictly positive")
-    config = {"check": "polya", "tol": tol,
-              "grid": [float(g[0]), float(g[-1]), int(g.size)]}
+    g, config = _as_grid(grid, "polya", tol)
+
+    def verdicts(vp, vm):
+        scale = _scale(vp)
+        return [_worst("even", np.abs(vp - vm), scale, tol,
+                       lambda i, gap: {"x": float(g[i])}),
+                _nonnegative(g, vp, scale, tol),
+                _worst("decreasing", np.diff(vp), scale, tol,
+                       lambda i, rise: {"x": float(g[i]), "rise": rise}),
+                _pair_record("convex", phi, g, vp, tol, scale)]
+
+    return _report(config, "polya", lambda: _finite(phi, g, -g), verdicts)
+
+
+# Two-point inequalities of a profile f over grid pairs (a, b): the point at
+# which f is evaluated, the excess of f there over the bound (given f(a) and
+# f(b)), and the witness key that reports the excess.
+_PAIR_BOUNDS = {
+    "convex": (lambda a, b: 0.5 * (a + b),
+               lambda fp, fa, fb: fp - 0.5 * (fa + fb), "gap"),
+    "concave": (lambda a, b: 0.5 * (a + b),
+                lambda fp, fa, fb: 0.5 * (fa + fb) - fp, "gap"),
+    "subadditive": (lambda a, b: a + b,
+                    lambda fp, fa, fb: fp - fa - fb, "excess"),
+}
+
+
+def _pair_record(name: str, f, g: np.ndarray, vals: np.ndarray, tol: float,
+                 scale: float) -> CheckRecord:
+    point, excess, key = _PAIR_BOUNDS[name]
+    at = point(g[:, None], g[None, :])
     try:
-        vp = np.asarray(phi(g), dtype=float)
-        vm = np.asarray(phi(-g), dtype=float)
-        if not (np.all(np.isfinite(vp)) and np.all(np.isfinite(vm))):
-            raise VarioBernError("non-finite values on the grid")
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("polya", tol, exc),), config)
-    scale = max(1.0, float(np.abs(vp).max()))
-    records = []
-
-    gap = np.abs(vp - vm)
-    i = int(gap.argmax())
-    ok = gap[i] <= tol * scale
-    records.append(CheckRecord(
-        "even", "pass" if ok else "fail", float(gap[i] / scale), tol,
-        None if ok else {"x": float(g[i])}))
-
-    i = int(np.argmin(vp))
-    ok = vp[i] >= -tol * scale
-    records.append(CheckRecord(
-        "nonnegative", "pass" if ok else "fail", float(vp[i] / scale), tol,
-        None if ok else {"x": float(g[i]), "value": float(vp[i])}))
-
-    rise = np.diff(vp)
-    i = int(np.argmax(rise))
-    ok = rise[i] <= tol * scale
-    records.append(CheckRecord(
-        "decreasing", "pass" if ok else "fail", float(rise[i] / scale), tol,
-        None if ok else {"x": float(g[i]), "rise": float(rise[i])}))
-
-    records.append(_midpoint_record("convex", phi, g, vp, tol, scale, concave=False))
-    return PermissibilityReport(tuple(records), config)
-
-
-def _midpoint_record(name, f, g, vals, tol, scale, concave: bool) -> CheckRecord:
-    a = g[:, None]
-    b = g[None, :]
-    mids = 0.5 * (a + b)
-    try:
-        fm = np.asarray(f(mids.ravel()), dtype=float).reshape(mids.shape)
+        fp = np.asarray(f(at.ravel()), dtype=float).reshape(at.shape)
     except VarioBernError as exc:
         return _inconclusive(name, tol, exc)
-    chord = 0.5 * (vals[:, None] + vals[None, :])
-    # convex: f(mid) <= chord; concave: f(mid) >= chord
-    gap = (chord - fm) if concave else (fm - chord)
-    k = int(np.argmax(gap))
-    i, j = np.unravel_index(k, gap.shape)
-    worst = float(gap[i, j])
-    ok = worst <= tol * scale
-    witness = None if ok else {"a": float(g[i]), "b": float(g[j]), "gap": worst}
-    return CheckRecord(name, "pass" if ok else "fail", worst / scale, tol, witness)
+    return _worst(name, excess(fp, vals[:, None], vals[None, :]), scale, tol,
+                  lambda i, j, worst: {"a": float(g[i]), "b": float(g[j]), key: worst})
 
 
 def profile_shape_check(f, grid, tol: float = 1e-9) -> PermissibilityReport:
@@ -412,45 +407,16 @@ def profile_shape_check(f, grid, tol: float = 1e-9) -> PermissibilityReport:
     the argument convention: f takes the squared radius, so gamma = |xi|^2
     has the (passing) profile f(x) = x, not x^2.
     """
-    g = _as_grid(grid)
-    if np.any(g < 0):
-        raise ParameterError("profile_shape_check grid must be nonnegative")
-    config = {"check": "profile_shape", "tol": tol,
-              "grid": [float(g[0]), float(g[-1]), int(g.size)]}
-    try:
-        vals = np.asarray(f(g), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise VarioBernError("non-finite values on the grid")
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("profile_shape", tol, exc),), config)
-    scale = max(1.0, float(np.abs(vals).max()))
-    records = []
+    g, config = _as_grid(grid, "profile_shape", tol, nonnegative=True)
 
-    drop = -np.diff(vals)
-    i = int(np.argmax(drop)) if drop.size else 0
-    worst = float(drop[i]) if drop.size else 0.0
-    ok = worst <= tol * scale
-    records.append(CheckRecord(
-        "increasing", "pass" if ok else "fail", worst / scale, tol,
-        None if ok else {"x": float(g[i]), "drop": worst}))
+    def verdicts(vals):
+        scale = _scale(vals)
+        return [_worst("increasing", -np.diff(vals), scale, tol,
+                       lambda i, drop: {"x": float(g[i]), "drop": drop}),
+                _pair_record("concave", f, g, vals, tol, scale),
+                _pair_record("subadditive", f, g, vals, tol, scale)]
 
-    records.append(_midpoint_record("concave", f, g, vals, tol, scale, concave=True))
-
-    sums = g[:, None] + g[None, :]
-    try:
-        fs = np.asarray(f(sums.ravel()), dtype=float).reshape(sums.shape)
-    except VarioBernError as exc:
-        records.append(_inconclusive("subadditive", tol, exc))
-        return PermissibilityReport(tuple(records), config)
-    excess = fs - vals[:, None] - vals[None, :]
-    k = int(np.argmax(excess))
-    i, j = np.unravel_index(k, excess.shape)
-    worst = float(excess[i, j])
-    ok = worst <= tol * scale
-    records.append(CheckRecord(
-        "subadditive", "pass" if ok else "fail", worst / scale, tol,
-        None if ok else {"a": float(g[i]), "b": float(g[j]), "excess": worst}))
-    return PermissibilityReport(tuple(records), config)
+    return _report(config, "profile_shape", lambda: _finite(f, g), verdicts)
 
 
 def sqrt_subadditivity_check(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
@@ -459,31 +425,19 @@ def sqrt_subadditivity_check(gamma, pts: PointSet, tol: float = 1e-8) -> Permiss
     Pairs include x = y, which is where homogeneous counterexamples like
     |xi|^3 show up first.
     """
-    config = {"check": "sqrt_subadditivity", "tol": tol, "n": pts.n, "d": pts.d}
+    config = _frame("sqrt_subadditivity", tol, n=pts.n, d=pts.d)
     x = pts.coords
-    sums = x[:, None, :] + x[None, :, :]
-    try:
-        g_sum = np.asarray(gamma(sums), dtype=float)
-        g_site = np.asarray(gamma(x), dtype=float)
-        if not (np.all(np.isfinite(g_sum)) and np.all(np.isfinite(g_site))):
-            raise VarioBernError("non-finite kernel values")
-    except VarioBernError as exc:
-        return PermissibilityReport(
-            (_inconclusive("sqrt_subadditivity", tol, exc),), config)
-    r_sum = np.sqrt(np.maximum(g_sum, 0.0))
-    r_site = np.sqrt(np.maximum(g_site, 0.0))
-    scale = max(1.0, float(r_sum.max()), float(r_site.max()))
-    excess = r_sum - r_site[:, None] - r_site[None, :]
-    k = int(np.argmax(excess))
-    i, j = np.unravel_index(k, excess.shape)
-    worst = float(excess[i, j])
-    ok = worst <= tol * scale
-    witness = None if ok else {
-        "x": x[i].tolist(), "y": x[j].tolist(), "excess": worst,
-    }
-    rec = CheckRecord("sqrt_subadditivity", "pass" if ok else "fail",
-                      worst / scale, tol, witness)
-    return PermissibilityReport((rec,), config)
+
+    def verdicts(g_sum, g_site):
+        r_sum = np.sqrt(np.maximum(g_sum, 0.0))
+        r_site = np.sqrt(np.maximum(g_site, 0.0))
+        return [_worst("sqrt_subadditivity", r_sum - r_site[:, None] - r_site[None, :],
+                       _scale(r_sum, r_site), tol,
+                       lambda i, j, worst: {"x": x[i].tolist(), "y": x[j].tolist(),
+                                            "excess": worst})]
+
+    return _report(config, "sqrt_subadditivity", lambda: _finite(
+        gamma, x[:, None, :] + x[None, :, :], x, what="kernel values"), verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -555,38 +509,26 @@ def eventual_constancy_check(profile, inner: float, outer: float,
     """
     if not 0 <= inner < outer:
         raise ParameterError("need 0 <= inner < outer")
-    config = {"check": "eventual_constancy", "tol": tol,
-              "inner": inner, "outer": outer, "all_d_certified": all_d_certified}
+    config = _frame("eventual_constancy", tol, inner=inner, outer=outer,
+                    all_d_certified=all_d_certified)
     rs = np.linspace(inner, outer, n_grid)
-    try:
-        vals = np.asarray(profile(rs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise VarioBernError("non-finite profile values")
-    except VarioBernError as exc:
-        return PermissibilityReport((_inconclusive("constant_on_annulus", tol, exc),),
-                                    config)
-    scale = max(1.0, float(np.abs(vals).max()))
-    spread = float(vals.max() - vals.min())
-    constant = spread <= tol * scale
-    plateau = float(vals.mean())
-    records = [CheckRecord(
-        "constant_on_annulus", "pass" if constant else "fail",
-        spread / scale, tol,
-        {"plateau": plateau} if constant else {"spread": spread},
-    )]
-    if constant and all_d_certified:
-        head = np.linspace(0.0, inner, n_grid) if inner > 0 else rs
-        head_vals = np.asarray(profile(head), dtype=float)
-        flat_everywhere = float(np.abs(head_vals - plateau).max()) <= tol * scale
-        records.append(CheckRecord(
-            "all_d_consistency", "pass" if flat_everywhere else "fail",
-            float(np.abs(head_vals - plateau).max()) / scale, tol,
-            None if flat_everywhere else {
-                "plateau": plateau,
-                "deviating_radius": float(head[int(np.abs(head_vals - plateau).argmax())]),
-            },
-            detail="" if flat_everywhere else
-            "profile constant on an annulus but not globally: incompatible "
-            "with permissibility in every dimension",
-        ))
-    return PermissibilityReport(tuple(records), config)
+
+    def verdicts(vals):
+        scale = _scale(vals)
+        spread = float(vals.max() - vals.min())
+        constant = spread <= tol * scale
+        plateau = float(vals.mean())
+        records = [_record("constant_on_annulus", constant, spread / scale, tol,
+                           lambda: {"spread": spread}, on_pass={"plateau": plateau})]
+        if constant and all_d_certified:
+            head = np.linspace(0.0, inner, n_grid) if inner > 0 else rs
+            head_vals = np.asarray(profile(head), dtype=float)
+            records.append(_worst(
+                "all_d_consistency", np.abs(head_vals - plateau), scale, tol,
+                lambda i, dev: {"plateau": plateau, "deviating_radius": float(head[i])},
+                detail="profile constant on an annulus but not globally: "
+                       "incompatible with permissibility in every dimension"))
+        return records
+
+    return _report(config, "constant_on_annulus",
+                   lambda: _finite(profile, rs, what="profile values"), verdicts)
