@@ -152,9 +152,8 @@ def _finite(f, *xs, what: str = "values on the grid") -> list[np.ndarray]:
 
 
 def _report(config: dict, name: str, evaluate, verdicts) -> PermissibilityReport:
-    """The frame of an oracle after its gates: a VarioBernError from
-    ``evaluate()`` gives one inconclusive record, else ``verdicts(*values)``
-    builds the records."""
+    """Frame of an oracle: a VarioBernError from ``evaluate()`` gives one
+    inconclusive record, else ``verdicts(*values)`` gives the records."""
     try:
         values = evaluate()
     except VarioBernError as exc:
@@ -181,14 +180,13 @@ def kernel_matrix(kernel, pts: PointSet) -> np.ndarray:
 
 
 def contrast_basis(n: int) -> np.ndarray:
-    """Orthonormal (n, n-1) basis of the zero-sum contrast subspace."""
+    """Orthonormal (n, n-1) basis of the zero-sum contrast subspace: the first
+    n-1 columns of the Householder reflector that swaps e_n and ones/sqrt(n)."""
     if n < 2:
         raise ParameterError("contrast subspace needs n >= 2 points")
-    cols = np.zeros((n, n - 1))
-    cols[:-1, :] = np.eye(n - 1)
-    cols[-1, :] = -1.0
-    q, _ = np.linalg.qr(cols)
-    return q
+    u = np.full(n, -1.0 / np.sqrt(n))
+    u[-1] += 1.0
+    return (np.eye(n) - np.outer(u, u) / u[-1])[:, :-1]
 
 
 def cnd_check(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
@@ -270,9 +268,8 @@ def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityR
 
 def _as_grid(grid, check: str, tol: float, nonnegative: bool = False,
              **echo) -> tuple[np.ndarray, dict]:
-    """Gate of the grid oracles: a strictly increasing 1-D grid that is
-    strictly positive (nonnegative for squared-radius profiles), plus the
-    config that echoes it."""
+    """Gate of the grid oracles: a strictly increasing 1-D grid, positive (or
+    nonnegative, for profiles), and the config that echoes it."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
         raise ParameterError("grid must be a strictly increasing 1-D array")
