@@ -15,7 +15,7 @@ models still evaluate; the oracles decide their fate empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,17 +45,6 @@ __all__ = [
 _MODES = ("squared_norm", "norm")
 
 
-def _check_anisotropy(a, d: int) -> np.ndarray:
-    if a is None:
-        a = np.eye(d)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (d, d):
-        raise ParameterError(f"anisotropy must be {d}x{d}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ParameterError("anisotropy must be finite")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class _RadialModel:
     profile: FunctionExpr
@@ -70,7 +59,13 @@ class _RadialModel:
             raise ParameterError(f"mode must be one of {_MODES}")
         if self.d < 1:
             raise ParameterError("dimension must be >= 1")
-        a = _check_anisotropy(self.anisotropy, self.d).copy()
+        d = self.d
+        a = np.array(np.eye(d) if self.anisotropy is None else self.anisotropy,
+                     dtype=float)
+        if a.shape != (d, d):
+            raise ParameterError(f"anisotropy must be {d}x{d}, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ParameterError("anisotropy must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "anisotropy", a)
 
@@ -127,12 +122,9 @@ def make_variogram(f: FunctionExpr, A=None, d: int = 1,
     In squared_norm mode a BF-tagged profile certifies permissibility in
     every dimension; anything else is accepted but flagged unverified.
     """
-    if mode not in _MODES:
-        raise ParameterError(f"mode must be one of {_MODES}")
     certified = mode == "squared_norm" and "BF" in alg.infer_class(f)
     return Variogram(
-        profile=f, mode=mode, anisotropy=_check_anisotropy(A, d), d=d,
-        certified=certified,
+        profile=f, mode=mode, anisotropy=A, d=d, certified=certified,
         construction=construction or f"make_variogram({alg.describe(f)})",
     )
 
@@ -161,17 +153,13 @@ def schur_product_extended(g1: FunctionExpr, g2: FunctionExpr, alpha: float,
         return alg.compose(g, alg.catalog("power", a=expo))
 
     h = alg.fprod(factor(g1, alpha), factor(g2, beta))
-    certified = "BF" in alg.infer_class(g1) and "BF" in alg.infer_class(g2)
-    if certified:
+    if "BF" in alg.infer_class(g1) and "BF" in alg.infer_class(g2):
         # the theorem shows h' is completely monotone, which the product
         # tag rule alone cannot see
         h = alg.with_tags(h, {"BF"})
-    return Variogram(
-        profile=h, mode="squared_norm", anisotropy=_check_anisotropy(A, d), d=d,
-        certified=certified,
-        construction=(f"schur_product(alpha={alpha:g}, beta={beta:g}, "
-                      f"g1={alg.describe(g1)}, g2={alg.describe(g2)})"),
-    )
+    return make_variogram(h, A, d, construction=(
+        f"schur_product(alpha={alpha:g}, beta={beta:g}, "
+        f"g1={alg.describe(g1)}, g2={alg.describe(g2)})"))
 
 
 def ma_product(a1: float, a2: float, A=None, d: int = 1) -> Variogram:
@@ -185,10 +173,7 @@ def ma_product(a1: float, a2: float, A=None, d: int = 1) -> Variogram:
         alg.catalog("exp_one_minus", a=a1), alg.catalog("exp_one_minus", a=a2),
         alpha=0.5, beta=0.5, A=A, d=d,
     )
-    return Variogram(
-        profile=v.profile, mode=v.mode, anisotropy=v.anisotropy, d=d,
-        certified=True, construction=f"ma_product(a1={a1:g}, a2={a2:g})",
-    )
+    return replace(v, construction=f"ma_product(a1={a1:g}, a2={a2:g})")
 
 
 def cbf_variograms(g: FunctionExpr, which: str, d: int = 1, A=None) -> Variogram:
@@ -205,12 +190,10 @@ def cbf_variograms(g: FunctionExpr, which: str, d: int = 1, A=None) -> Variogram
     else:
         inv = alg.dualize(alg.compose(g, alg.catalog("recip")), "reciprocal")
         h = inv if which == "inv_arg" else alg.dualize(inv, "x_over_f")
-    certified = "CBF" in alg.infer_class(h)
-    return Variogram(
-        profile=h, mode="squared_norm", anisotropy=_check_anisotropy(A, d), d=d,
-        certified=certified,
-        construction=f"cbf_variograms({which}, g={alg.describe(g)})",
-    )
+    # make_variogram certifies on the BF tag, which a dualize node carries
+    # exactly when it carries CBF
+    return make_variogram(h, A, d,
+                          construction=f"cbf_variograms({which}, g={alg.describe(g)})")
 
 
 def composition_products(g1: FunctionExpr, g2: FunctionExpr,
@@ -227,10 +210,10 @@ def composition_products(g1: FunctionExpr, g2: FunctionExpr,
         raise ParameterError("three_factor needs g3")
     outer = alg.catalog("power", a=1.0) if which == "two_factor" else g3
     h = alg.uchiyama(outer, g1, g2)
-    certified = "CBF" in alg.infer_class(h)
-    return Variogram(
-        profile=h, mode="squared_norm", anisotropy=_check_anisotropy(A, d), d=d,
-        certified=certified,
+    # make_variogram certifies on the BF tag, which an uchiyama node carries
+    # exactly when it carries CBF
+    return make_variogram(
+        h, A, d,
         construction=f"composition_products({which}, g1={alg.describe(g1)}, "
                      f"g2={alg.describe(g2)}"
                      + (f", g3={alg.describe(g3)})" if g3 is not None else ")"),
@@ -255,7 +238,7 @@ def wendland(r: float, l: int, d: int, A=None) -> StationaryCovariance:
         )
     return StationaryCovariance(
         profile=alg.catalog("wendland_profile", r=float(r), l=int(l)),
-        mode="norm", anisotropy=_check_anisotropy(A, d), d=d,
+        mode="norm", anisotropy=A, d=d,
         certified=True, sill=1.0, support_radius=float(r),
         construction=f"wendland(r={r:g}, l={l}, d={d})",
     )
@@ -267,7 +250,7 @@ def spherical(rng: float, d: int, A=None) -> Variogram:
         raise ParameterError("range must be positive")
     return Variogram(
         profile=alg.catalog("spherical_profile", {"range": float(rng)}),
-        mode="norm", anisotropy=_check_anisotropy(A, d), d=d,
+        mode="norm", anisotropy=A, d=d,
         certified=d <= 3,
         construction=f"spherical(range={rng:g}, d={d})",
     )
@@ -291,7 +274,7 @@ def exponential_covariance(rate: float = 1.0, d: int = 1, A=None) -> StationaryC
     return StationaryCovariance(
         profile=alg.compose(alg.catalog("exp_decay", a=rate),
                             alg.catalog("power", a=0.5)),
-        mode="squared_norm", anisotropy=_check_anisotropy(A, d), d=d,
+        mode="squared_norm", anisotropy=A, d=d,
         certified=True, sill=1.0, support_radius=math.inf,
         construction=f"exponential_covariance(rate={rate:g}, d={d})",
     )
@@ -303,7 +286,7 @@ def matern_covariance(alpha: float = 1.0, nu: float = 0.5, d: int = 1,
     f = alg.catalog("matern", alpha=alpha, nu=nu)
     return StationaryCovariance(
         profile=alg.affine(f, shift=1.0, scale=-1.0),
-        mode="squared_norm", anisotropy=_check_anisotropy(A, d), d=d,
+        mode="squared_norm", anisotropy=A, d=d,
         certified=True, sill=1.0, support_radius=math.inf,
         construction=f"matern_covariance(alpha={alpha:g}, nu={nu:g}, d={d})",
     )
@@ -362,12 +345,11 @@ def model_from_json(d: dict):
             raise ParameterError(f"model JSON is missing the '{key}' field")
     profile = alg.expr_from_json(d["profile"])
     dim = int(d["d"])
-    a = _check_anisotropy(d.get("A"), dim)
     kind = d.get("type", "variogram")
     if kind == "covariance":
         sr = d.get("support_radius")
         return StationaryCovariance(
-            profile=profile, mode=d["mode"], anisotropy=a, d=dim,
+            profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
             certified=bool(d.get("certified", False)),
             sill=float(d.get("sill", 1.0)),
             support_radius=math.inf if sr is None else float(sr),
@@ -376,7 +358,7 @@ def model_from_json(d: dict):
     if kind != "variogram":
         raise ParameterError(f"unknown model type '{kind}'")
     return Variogram(
-        profile=profile, mode=d["mode"], anisotropy=a, d=dim,
+        profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
         certified=bool(d.get("certified", False)),
         construction=d.get("construction", ""),
     )
