@@ -52,6 +52,7 @@ __all__ = [
     "expr_from_json",
     "spectral_node",
     "spectral_measure",
+    "check_mu_integrability",
     "describe",
 ]
 
@@ -611,6 +612,22 @@ def spectral_measure(f: FunctionExpr):
         return (evaluate(m, s * (1.0 - h)) - evaluate(m, s * (1.0 + h))) / (2.0 * s * h)
 
     return triple.drift, dens
+
+
+def check_mu_integrability(dens) -> None:
+    """Raise QuadratureError unless the jump measure with density dens
+    integrates min(s, s^2), the condition for a finite spectral variogram."""
+    with _quiet_quadrature():
+        head = quad(lambda s: s * s * dens(s), 0.0, 1.0,
+                    epsabs=1e-9, epsrel=1e-9, limit=200)
+        tail = quad(lambda s: s * dens(s), 1.0, np.inf,
+                    epsabs=1e-9, epsrel=1e-9, limit=200)
+    total = head[0] + tail[0]
+    err = head[1] + tail[1]
+    if not np.isfinite(total) or err > 1e-3 * max(1.0, abs(total)):
+        raise QuadratureError(
+            "recovered jump measure fails the integral min(s, s^2) mu(ds) check"
+        )
 
 
 @functools.lru_cache(maxsize=65536)

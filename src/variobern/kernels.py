@@ -20,11 +20,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import algebra as alg
 from .algebra import FunctionExpr, evaluate
-from .errors import ConstructionError, ParameterError, QuadratureError
+from .errors import ConstructionError, ParameterError
 from .models import Variogram
 from .points import PointSet
 
@@ -152,27 +151,13 @@ def spectral_variogram(f: FunctionExpr, grid=None, tol: float = 1e-9) -> Variogr
             raise ParameterError(
                 f"Levy density must be decreasing: m({g[i]:g}) < m({g[i + 1]:g})"
             )
-        _check_mu_integrability(dens)
+        alg.check_mu_integrability(dens)
     profile = alg.spectral_node(f)
     return Variogram(
         profile=profile, mode="norm", anisotropy=np.eye(1), d=1,
         certified=True,
         construction=f"spectral_variogram({alg.describe(f)})",
     )
-
-
-def _check_mu_integrability(dens) -> None:
-    with np.errstate(all="ignore"):
-        head = quad(lambda s: s * s * dens(s), 0.0, 1.0,
-                    epsabs=1e-9, epsrel=1e-9, limit=200)
-        tail = quad(lambda s: s * dens(s), 1.0, np.inf,
-                    epsabs=1e-9, epsrel=1e-9, limit=200)
-    total = head[0] + tail[0]
-    err = head[1] + tail[1]
-    if not np.isfinite(total) or err > 1e-3 * max(1.0, abs(total)):
-        raise QuadratureError(
-            "recovered jump measure fails the integral min(s, s^2) mu(ds) check"
-        )
 
 
 def spectral_reference(f: FunctionExpr, xi):

@@ -362,3 +362,95 @@ def test_variogram_axioms_evenness_witness_is_the_worst_lag(pts012):
     lag = np.array(w["lag"])
     assert w["gap"] == pytest.approx(abs(float(odd(lag) - odd(-lag))))
     assert w["gap"] == pytest.approx(2.0 * np.abs(pts012.lags()[..., 0]).max())
+
+
+# ----------------------------------------------------------------------
+# the shared verdict policy
+
+def _every_oracle(kernel, profile):
+    """Each report-returning oracle as tol -> report, on one lag kernel and
+    one scalar profile."""
+    sites = vb.PointSet(np.array([[0.0], [0.7], [1.5], [2.0], [3.5]]))
+    grid = np.linspace(0.1, 3.0, 12)
+    return {
+        "cnd": lambda tol: vb.cnd_check(kernel, sites, tol),
+        "pd": lambda tol: vb.pd_check(kernel, sites, tol),
+        "axioms": lambda tol: vb.variogram_axioms(kernel, sites, tol),
+        "sqrt_subadditivity": lambda tol: vb.sqrt_subadditivity_check(kernel, sites, tol),
+        "cm": lambda tol: vb.cm_check(profile, grid, max_order=4, tol=tol),
+        "bernstein": lambda tol: vb.bernstein_check(profile, grid, max_order=4, tol=tol),
+        "polya": lambda tol: vb.polya_check(profile, grid, tol=tol),
+        "profile_shape": lambda tol: vb.profile_shape_check(profile, grid, tol=tol),
+        "eventual_constancy": lambda tol: vb.eventual_constancy_check(
+            profile, 1.0, 3.0, tol=tol, all_d_certified=True),
+    }
+
+
+ORACLES = list(_every_oracle(abs_gamma, np.log1p))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3])
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_every_oracle_rejects_a_nonpositive_tol(oracle, tol):
+    plateau = lambda x: np.minimum(np.asarray(x, dtype=float), 1.5)
+    with pytest.raises(ParameterError, match="tol must be positive"):
+        _every_oracle(abs_gamma, plateau)[oracle](tol)
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_every_oracle_is_inconclusive_on_nonfinite_values(oracle):
+    """Finite at the origin only, so the origin record of the axioms passes
+    and every other record is inconclusive."""
+    kernel = lambda lags: np.where(abs_gamma(lags) > 0, np.inf, 0.0)
+    profile = lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0)
+    rep = _every_oracle(kernel, profile)[oracle](1e-8)
+    assert rep.verdict == "inconclusive"
+    for rec in rep.checks:
+        if rec.name != "origin":
+            assert rec.verdict == "inconclusive" and math.isnan(rec.statistic)
+            assert "non-finite" in rec.detail and rec.witness is None
+
+
+def test_witness_exactly_on_failing_records():
+    kernels = [abs_gamma, cubic_gamma, lambda lags: np.exp(-abs_gamma(lags) ** 2),
+               lambda lags: 1.0 - abs_gamma(lags) ** 2,
+               lambda lags: abs_gamma(lags) + 0.3 * np.asarray(lags)[..., 0]]
+    profiles = [lambda x: np.exp(-np.asarray(x)), lambda x: np.log1p(np.abs(x)),
+                lambda x: np.sqrt(np.abs(x)), np.sin,
+                lambda x: np.asarray(x) ** 2, lambda x: np.exp(-np.abs(x)),
+                lambda x: np.minimum(np.asarray(x, dtype=float), 1.5),
+                lambda x: np.ones_like(np.asarray(x, dtype=float))]
+    verdicts = {name: set() for name in ORACLES}
+    for kernel, profile in zip(kernels * 2, profiles):
+        for name, oracle in _every_oracle(kernel, profile).items():
+            for rec in oracle(1e-8).checks:
+                verdicts[name].add(rec.verdict)
+                if rec.name == "constant_on_annulus":
+                    # the probe reports the plateau it found when it passes
+                    assert ("spread" in rec.witness) == (rec.verdict == "fail")
+                else:
+                    assert (rec.witness is not None) == (rec.verdict == "fail"), rec
+    assert all({"pass", "fail"} <= v for v in verdicts.values()), verdicts
+
+
+def test_cnd_statistic_matches_a_qr_basis_reference():
+    rng = np.random.default_rng(11)
+    pts = vb.PointSet(rng.uniform(0.0, 3.0, size=(40, 2)))
+    for gamma in (vb.ma_product(1.0, 2.0, d=2), cubic_gamma):
+        g = vb.kernel_matrix(gamma, pts)
+        cols = np.vstack([np.eye(pts.n - 1), -np.ones((1, pts.n - 1))])
+        q, _ = np.linalg.qr(cols)
+        sym = 0.5 * (g + g.T)
+        lam = np.linalg.eigvalsh(q.T @ sym @ q)[-1]
+        rec = vb.cnd_check(gamma, pts).record("cnd")
+        assert abs(rec.statistic - lam / max(1.0, np.abs(g).max())) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 1024])
+def test_contrast_basis_is_an_orthonormal_zero_sum_basis(n):
+    b = vb.contrast_basis(n)
+    assert b.shape == (n, n - 1)
+    assert np.abs(b.T @ b - np.eye(n - 1)).max() < 1e-13
+    assert np.abs(b.sum(axis=0)).max() < 1e-12
+    # spanning {sum a = 0}: b b' is the projector I - 11'/n
+    assert np.abs(b @ b.T - (np.eye(n) - 1.0 / n)).max() < 1e-13

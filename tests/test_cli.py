@@ -392,3 +392,17 @@ def test_krige_reports_variance_and_residual(capsys, tmp_path):
         True, True, False, True]
     assert preds[2]["variance"] > 0.0
     assert all(0.0 <= p["residual"] < 1e-10 for p in preds)
+
+
+@pytest.mark.parametrize("model, checks", [
+    (vb.ma_product(1.0, 2.0, d=1), "sqrt_subadditivity"),
+    (vb.wendland(1.5, 1, 1), "eventual_constancy"),
+    (vb.ma_product(1.0, 2.0, d=1), "cnd"),
+])
+def test_validate_rejects_a_nonpositive_tol(capsys, tmp_path, model, checks):
+    """A negative tolerance is an input error (exit 2), never a verdict."""
+    sites = write_sites(tmp_path / "s.csv", np.linspace(0, 5, 8)[:, None])
+    code, out, err = run(capsys, "validate", "--model", model_arg(model),
+                         "--points", sites, "--checks", checks, "--tol", "-0.001")
+    assert code == 2
+    assert out == "" and "tol must be positive" in err

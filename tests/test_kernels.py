@@ -2,12 +2,13 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import variobern as vb
-from variobern.errors import ConstructionError, ParameterError
+from variobern.errors import ConstructionError, ParameterError, QuadratureError
 
 
 @pytest.fixture
@@ -176,3 +177,21 @@ def test_tabulate_kernel_csv_one_dim(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x1", "value"]
     assert [float(r[1]) for r in rows[1:]] == [0.0, 2.0]
+
+
+def test_spectral_gates_in_order_and_quietly():
+    """A nonzero constant is refused before the density is looked at, a
+    rising density before any quadrature, and a jump measure that does not
+    integrate min(s, s^2) raises QuadratureError without leaking a warning."""
+    carrier = vb.fsum(vb.catalog("log1p"), vb.catalog("const", {"c": 0.0}))
+    rising = vb.catalog("power", {"a": 0.5})
+    with pytest.raises(ConstructionError, match="constant"):
+        vb.spectral_variogram(vb.with_levy(
+            carrier, vb.LevyTriple(constant=1.0, density=rising)))
+    with pytest.raises(ParameterError, match="decreasing"):
+        vb.spectral_variogram(vb.with_levy(carrier, vb.LevyTriple(density=rising)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="min"):
+            vb.spectral_variogram(vb.with_levy(
+                carrier, vb.LevyTriple(density=vb.catalog("recip"))))

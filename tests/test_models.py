@@ -354,3 +354,22 @@ def test_covariance_catalog_positive_definite():
         for pts in seeded_sets(2, 8, d, seed=11, box=4.0):
             rep = vb.pd_check(c, pts, tol=1e-8)
             assert rep.passed, name
+
+
+def test_squared_norm_constructors_certify_exactly_the_bf_tag():
+    """The four squared-norm constructors certify through make_variogram,
+    so the flag is the BF tag of the profile they build, covered or not."""
+    bf = [vb.catalog("log1p"), vb.catalog("exp_one_minus", {"a": 1.5}),
+          vb.catalog("frac_linear", {"lam": 1.0})]
+    other = [vb.catalog("sine"), vb.catalog("one_minus_cos")]
+    models = [vb.ma_product(a1, a2, d=2) for a1, a2 in ((1.0, 2.0), (0.0, 0.5))]
+    for g1 in bf + other:
+        for g2 in bf + other:
+            models.append(vb.schur_product_extended(g1, g2, 0.5, 0.25, d=2))
+            models.append(vb.composition_products(g1, g2, which="two_factor", d=2))
+        for which in ("ratio", "inv_arg", "inv_arg_ratio"):
+            models.append(vb.cbf_variograms(g1, which, d=2))
+    for m in models:
+        assert m.mode == "squared_norm"
+        assert m.certified == ("BF" in vb.infer_class(m.profile)), m.construction
+    assert {m.certified for m in models} == {True, False}
