@@ -106,13 +106,13 @@ class PermissibilityReport:
         }
 
 
+# ----------------------------------------------------------------------
+# the shared verdict policy
+
 def _inconclusive(name: str, tol: float, exc: Exception) -> CheckRecord:
     return CheckRecord(name, "inconclusive", float("nan"), tol,
                        detail=f"{type(exc).__name__}: {exc}")
 
-
-# ----------------------------------------------------------------------
-# the shared verdict policy
 
 def _frame(check: str, tol: float, **echo) -> dict:
     """The tolerance gate of every oracle and the config its report echoes."""
