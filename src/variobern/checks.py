@@ -2,10 +2,13 @@
 
 Every check reduces to finite linear algebra or finite differencing:
 
-* conditional negative definiteness is tested by eigen-decomposing the
-  restriction of the kernel matrix to the zero-sum contrast subspace,
-  using an explicit orthonormal contrast basis so that failures come with
-  a reusable witness contrast;
+* conditional negative definiteness is tested on the restriction of the
+  kernel matrix to the zero-sum contrast subspace: the Householder
+  reflector that swaps e_n and ones/sqrt(n) is applied as a rank-two
+  update in O(n^2), only the extreme eigenpair of the restriction is
+  computed, and its eigenvector is mapped back through the same reflector
+  into a reusable witness contrast (positive definiteness takes the
+  extreme eigenpair of the kernel matrix itself);
 * complete monotonicity and the Bernstein property are tested through the
   alternating signs of Newton divided differences, never through symbolic
   derivatives, so tabulated kernels work too;
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from .errors import ParameterError, VarioBernError
@@ -179,14 +183,36 @@ def kernel_matrix(kernel, pts: PointSet) -> np.ndarray:
     return vals
 
 
-def contrast_basis(n: int) -> np.ndarray:
-    """Orthonormal (n, n-1) basis of the zero-sum contrast subspace: the first
-    n-1 columns of the Householder reflector that swaps e_n and ones/sqrt(n)."""
+def _reflector(n: int) -> np.ndarray:
+    """Householder vector u of the reflector H = I - u u'/u[-1] that swaps
+    e_n and ones/sqrt(n); the first n-1 columns of H span {sum a = 0}."""
     if n < 2:
         raise ParameterError("contrast subspace needs n >= 2 points")
     u = np.full(n, -1.0 / np.sqrt(n))
     u[-1] += 1.0
+    return u
+
+
+def contrast_basis(n: int) -> np.ndarray:
+    """Orthonormal (n, n-1) basis of the zero-sum contrast subspace: the first
+    n-1 columns of the Householder reflector that swaps e_n and ones/sqrt(n).
+
+    The oracles never build it (they apply the reflector as a rank-two
+    update); it is kept for callers that map reduced vectors themselves.
+    """
+    u = _reflector(n)
     return (np.eye(n) - np.outer(u, u) / u[-1])[:, :-1]
+
+
+def _extreme_eigenpair(m: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """The k-th smallest eigenvalue of the symmetric m and its eigenvector.
+
+    Kernel matrices are finite by construction, so the finiteness scan is
+    skipped; the MRRR driver computes the one pair without the others.
+    """
+    w, v = scipy.linalg.eigh(m, subset_by_index=[k, k], driver="evr",
+                             check_finite=False)
+    return float(w[0]), v[:, 0]
 
 
 def cnd_check(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
@@ -202,17 +228,32 @@ def cnd_check(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
                    lambda g: [_cnd_record(g, tol)])
 
 
+def _contrast_block(sym: np.ndarray) -> np.ndarray:
+    """B' S B for the symmetric S and B = contrast_basis(n) = H[:, :-1].
+
+    B' S B is the leading block of H S H = S - p u' - u p' + c u u', with
+    p = S u / u[-1] and c = u.p / u[-1]. The first n-1 entries of u all
+    equal u[0], so that block is S_ij - (q_i + q_j) with q = u[0] (p - c u / 2):
+    O(n^2), and exactly symmetric.
+    """
+    u = _reflector(sym.shape[0])
+    p = sym @ u / u[-1]
+    q = u[0] * (p - 0.5 * (u @ p) / u[-1] * u)[:-1]
+    block = q[:, None] + q
+    return np.subtract(sym[:-1, :-1], block, out=block)
+
+
 def _cnd_record(g: np.ndarray, tol: float) -> CheckRecord:
+    # the largest eigenpair of the contrast restriction; v maps back to a
+    # witness contrast through the same reflector
     sym = 0.5 * (g + g.T)
     scale = _scale(g)
-    b = contrast_basis(g.shape[0])
-    reduced = b.T @ sym @ b
-    reduced = 0.5 * (reduced + reduced.T)
-    w, v = np.linalg.eigh(reduced)
-    lam = float(w[-1])
+    n = g.shape[0]
+    lam, v = _extreme_eigenpair(_contrast_block(sym), n - 2)
 
     def witness():
-        a = b @ v[:, -1]
+        u = _reflector(n)
+        a = np.append(v, 0.0) - u * ((u[:-1] @ v) / u[-1])  # a = B v
         a = a - a.mean()  # enforce the zero-sum constraint exactly
         return {"contrast": a.tolist(), "quadratic_form": float(a @ sym @ a),
                 "eigenvalue": lam, "scale": scale}
@@ -228,11 +269,10 @@ def pd_check(cov, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
 
 
 def _pd_record(c: np.ndarray, tol: float) -> CheckRecord:
+    # the smallest eigenpair of the symmetric part; its vector is the witness
     sym = 0.5 * (c + c.T)
     scale = _scale(c)
-    w, v = np.linalg.eigh(sym)
-    lam = float(w[0])
-    a = v[:, 0]
+    lam, a = _extreme_eigenpair(sym, 0)
     return _record("pd", lam >= -tol * scale, lam / scale, tol, lambda: {
         "weights": a.tolist(), "quadratic_form": float(a @ sym @ a),
         "eigenvalue": lam, "scale": scale})
@@ -248,7 +288,8 @@ def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityR
     config = _frame("variogram_axioms", tol, n=pts.n, d=pts.d)
     records: list[CheckRecord] = []
     try:
-        origin = float(np.asarray(gamma(np.zeros((1, pts.d))))[0])
+        origin = float(_finite(gamma, np.zeros((1, pts.d)),
+                               what="kernel value at the origin")[0][0])
         records.append(_record("origin", origin >= -tol, origin, tol,
                                lambda: {"value": origin}))
         g = kernel_matrix(gamma, pts)
@@ -389,7 +430,7 @@ def _pair_record(name: str, f, g: np.ndarray, vals: np.ndarray, tol: float,
     point, excess, key = _PAIR_BOUNDS[name]
     at = point(g[:, None], g[None, :])
     try:
-        fp = np.asarray(f(at.ravel()), dtype=float).reshape(at.shape)
+        fp = _finite(f, at.ravel(), what=f"{name} pair values")[0].reshape(at.shape)
     except VarioBernError as exc:
         return _inconclusive(name, tol, exc)
     return _worst(name, excess(fp, vals[:, None], vals[None, :]), scale, tol,
@@ -519,12 +560,17 @@ def eventual_constancy_check(profile, inner: float, outer: float,
                            lambda: {"spread": spread}, on_pass={"plateau": plateau})]
         if constant and all_d_certified:
             head = np.linspace(0.0, inner, n_grid) if inner > 0 else rs
-            head_vals = np.asarray(profile(head), dtype=float)
-            records.append(_worst(
-                "all_d_consistency", np.abs(head_vals - plateau), scale, tol,
-                lambda i, dev: {"plateau": plateau, "deviating_radius": float(head[i])},
-                detail="profile constant on an annulus but not globally: "
-                       "incompatible with permissibility in every dimension"))
+            try:
+                head_vals = _finite(profile, head, what="profile values")[0]
+            except VarioBernError as exc:
+                records.append(_inconclusive("all_d_consistency", tol, exc))
+            else:
+                records.append(_worst(
+                    "all_d_consistency", np.abs(head_vals - plateau), scale, tol,
+                    lambda i, dev: {"plateau": plateau,
+                                    "deviating_radius": float(head[i])},
+                    detail="profile constant on an annulus but not globally: "
+                           "incompatible with permissibility in every dimension"))
         return records
 
     return _report(config, "constant_on_annulus",

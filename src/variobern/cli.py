@@ -159,17 +159,17 @@ def _run_check(name: str, model, pts, tol: float):
         grid = np.logspace(-2, 2, 33)
         f = lambda x: alg.evaluate(model.profile, x)
         if name == "cm":
-            return checks.cm_check(f, grid, tol=max(tol, 1e-9))
-        return checks.bernstein_check(f, grid, tol=max(tol, 1e-9))
+            return checks.cm_check(f, grid, tol=tol)
+        return checks.bernstein_check(f, grid, tol=tol)
     if name == "polya":
         grid = np.linspace(0.05, 8.0, 64)
         phi = lambda t: model.norm_profile(np.abs(t))
-        return checks.polya_check(phi, grid, tol=max(tol, 1e-9))
+        return checks.polya_check(phi, grid, tol=tol)
     if name == "profile_shape":
         # the shape theorem constrains the squared-radius profile
         grid = np.linspace(0.0, 8.0, 65)
         f = lambda x: model.norm_profile(np.sqrt(x))
-        return checks.profile_shape_check(f, grid, tol=max(tol, 1e-9))
+        return checks.profile_shape_check(f, grid, tol=tol)
     if name == "eventual_constancy":
         if not isinstance(model, models.StationaryCovariance) or \
                 not math.isfinite(model.support_radius):

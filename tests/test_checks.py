@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import variobern as vb
+from variobern.checks import _contrast_block
 from variobern.errors import ParameterError
 
 
@@ -454,3 +455,97 @@ def test_contrast_basis_is_an_orthonormal_zero_sum_basis(n):
     assert np.abs(b.sum(axis=0)).max() < 1e-12
     # spanning {sum a = 0}: b b' is the projector I - 11'/n
     assert np.abs(b @ b.T - (np.eye(n) - 1.0 / n)).max() < 1e-13
+
+
+# ----------------------------------------------------------------------
+# evaluations that used to bypass the finiteness gate
+
+def test_axioms_inconclusive_on_a_nonfinite_origin(pts012):
+    rep = vb.variogram_axioms(lambda lags: np.full(np.shape(lags)[:-1], np.nan), pts012)
+    assert rep.verdict == "inconclusive"
+    assert all(rec.verdict == "inconclusive" and rec.witness is None
+               for rec in rep.checks)
+    assert "non-finite" in rep.record("cnd").detail
+
+
+def test_pair_records_inconclusive_on_nonfinite_pair_values():
+    """The grid itself is finite; only the sums a + b beyond 8 are NaN."""
+    f = lambda x: np.where(np.asarray(x) > 8.0, np.nan, np.sqrt(np.abs(x)))
+    rep = vb.profile_shape_check(f, np.linspace(0.0, 8.0, 9))
+    assert rep.record("increasing").verdict == "pass"
+    assert rep.record("concave").verdict == "pass"
+    rec = rep.record("subadditive")
+    assert rec.verdict == "inconclusive" and rec.witness is None
+    assert "non-finite" in rec.detail
+
+
+def test_eventual_constancy_all_d_head_raising_is_inconclusive():
+    def prof(r):
+        r = np.asarray(r, dtype=float)
+        if (r < 1.0).any():
+            raise vb.EvaluationError("profile undefined below r = 1")
+        return np.ones_like(r)
+
+    rep = vb.eventual_constancy_check(prof, inner=1.0, outer=3.0,
+                                      all_d_certified=True)
+    assert rep.record("constant_on_annulus").verdict == "pass"
+    rec = rep.record("all_d_consistency")
+    assert rec.verdict == "inconclusive" and rec.witness is None
+    assert "EvaluationError" in rec.detail
+
+
+# ----------------------------------------------------------------------
+# the O(n^2) projection and the one-eigenpair solve
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_pd_statistic_is_the_smallest_eigenvalue(n):
+    rng = np.random.default_rng(n)
+    pts = vb.PointSet(rng.uniform(0.0, 3.0, size=(n, 2)))
+    for cov in (lambda lags: np.exp(-abs_gamma(lags)),
+                lambda lags: 1.0 - abs_gamma(lags) ** 2):
+        c = vb.kernel_matrix(cov, pts)
+        lam = np.linalg.eigvalsh(0.5 * (c + c.T))[0]
+        rec = vb.pd_check(cov, pts).record("pd")
+        assert abs(rec.statistic - lam / max(1.0, np.abs(c).max())) <= 1e-12
+
+
+@pytest.mark.parametrize("n, gamma", [
+    (2, abs_gamma),
+    (2, cubic_gamma),
+    (30, lambda lags: (-np.expm1(-abs_gamma(lags) ** 2)) ** 2),
+])
+def test_cnd_statistic_matches_a_qr_basis_eigh_reference(n, gamma):
+    rng = np.random.default_rng(7)
+    pts = vb.PointSet(rng.uniform(0.0, 3.0, size=(n, 2)))
+    g = vb.kernel_matrix(gamma, pts)
+    cols = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
+    q, _ = np.linalg.qr(cols)
+    w, _ = np.linalg.eigh(q.T @ (0.5 * (g + g.T)) @ q)
+    rec = vb.cnd_check(gamma, pts).record("cnd")
+    assert abs(rec.statistic - w[-1] / max(1.0, np.abs(g).max())) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 30])
+def test_failing_cnd_witness_is_a_zero_sum_contrast_at_the_eigenvalue(n):
+    rng = np.random.default_rng(3)
+    pts = vb.PointSet(rng.uniform(0.0, 3.0, size=(n, 2)))
+    rec = vb.cnd_check(cubic_gamma, pts).record("cnd")
+    assert rec.verdict == "fail"
+    w = rec.witness
+    a = np.array(w["contrast"])
+    assert abs(a.sum()) <= 1e-12
+    g = vb.kernel_matrix(cubic_gamma, pts)
+    assert w["quadratic_form"] == pytest.approx(float(a @ g @ a), abs=1e-10 * w["scale"])
+    assert abs(w["quadratic_form"] - w["eigenvalue"]) <= 1e-10 * w["scale"]
+    assert w["quadratic_form"] > rec.tolerance * w["scale"]
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_contrast_block_is_the_dense_basis_projection(n):
+    rng = np.random.default_rng(n)
+    s = rng.uniform(-1.0, 1.0, size=(n, n))
+    s = 0.5 * (s + s.T)
+    b = vb.contrast_basis(n)
+    block = _contrast_block(s)
+    assert np.array_equal(block, block.T)
+    assert np.abs(block - b.T @ s @ b).max() <= 1e-13

@@ -398,6 +398,8 @@ def test_krige_reports_variance_and_residual(capsys, tmp_path):
     (vb.ma_product(1.0, 2.0, d=1), "sqrt_subadditivity"),
     (vb.wendland(1.5, 1, 1), "eventual_constancy"),
     (vb.ma_product(1.0, 2.0, d=1), "cnd"),
+    *[(vb.make_variogram(vb.catalog("log1p"), d=1), name)
+      for name in ("cm", "bernstein", "polya", "profile_shape")],
 ])
 def test_validate_rejects_a_nonpositive_tol(capsys, tmp_path, model, checks):
     """A negative tolerance is an input error (exit 2), never a verdict."""
