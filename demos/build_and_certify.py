@@ -32,6 +32,7 @@ for name, params in [
 show("a certified model: gamma(xi) = (x^rho / (1 + x^rho))^g at x = |xi|^2")
 v = vb.make_variogram(vb.catalog("dagum", {"rho": 0.5, "gamma": 0.5}), d=2)
 print(f"  certified: {v.certified}   mode: {v.mode}   d: {v.d}")
+print(f"  certificate: {v.certificate}")
 pts = vb.sample_point_sets(1, 10, 2, seed=42, box=8.0)[0]
 rep = vb.variogram_axioms(v, pts)
 print(f"  axioms on 10 seeded points: {rep.verdict}")

@@ -33,6 +33,7 @@ run("construct", "--model", json.dumps(recipe), "--out", str(built_path))
 payload = json.loads(built_path.read_text())
 print(f"  certified: {payload['certified']}   "
       f"mode: {payload['model']['mode']}")
+print(f"  certificate: {payload['model']['certificate']}")
 model_path = tmp / "model.json"
 model_path.write_text(json.dumps(payload["model"]))
 
@@ -46,7 +47,6 @@ for report in json.loads(proc.stdout)["reports"]:
 print()
 print("a model that is not a variogram exits 1 and carries a witness")
 cubic = {"type": "variogram", "mode": "squared_norm", "d": 1,
-         "certified": False,
          "profile": {"op": "power", "alpha": 1.5,
                      "args": [{"atom": "power", "params": {"a": 1.0}}]}}
 proc = run("validate", "--model", json.dumps(cubic), "--checks", "cnd",

@@ -48,6 +48,7 @@ for name, params in [("log1p", {}), ("frac_linear", {"lam": 2.0})]:
 
 print()
 print("the result is a first-class model: certified and JSON round-trippable")
+print(f"  certificate: {sv.certificate}")
 pts = vb.sample_point_sets(1, 8, 1, seed=6, box=10.0)[0]
 print(f"  cnd_check on 8 seeded points: {vb.cnd_check(sv, pts).verdict}")
 payload = vb.model_to_json(sv)

@@ -1,11 +1,12 @@
 """Expression algebra for radial profile functions.
 
 Expressions are immutable trees over catalog atoms. Each node carries the set
-of function-cone memberships ("CM", "BF", "CBF", "S") that can be certified
-for it: atoms carry catalog facts, inner nodes only what a cited closure rule
-derives from the children, and constructors may inject a certificate when a
-theorem covers the whole construction. Tags are therefore sound but not
-complete - an empty set means "unverified", never "disproved".
+of function-cone memberships ("CM", "BF", "CBF", "S") that its closure rules
+prove (``derived``): atoms carry catalog facts, inner nodes only what a cited
+rule derives from the children's derived sets. Derived tags are sound but not
+complete - an empty set means "unverified", never "disproved". Tags declared
+through with_tags or loaded from JSON join ``tags`` for display, but no proof
+reads them.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ __all__ = [
     "expr_to_json",
     "expr_from_json",
     "spectral_node",
-    "spectral_measure",
-    "check_mu_integrability",
     "describe",
 ]
 
@@ -103,8 +102,9 @@ class FunctionExpr:
     params: tuple[tuple[str, float], ...] = ()
     children: tuple["FunctionExpr", ...] = ()
     alpha: float | None = None
-    tags: frozenset = field(default_factory=frozenset)
+    tags: frozenset = field(default_factory=frozenset)  # derived | declared
     levy: LevyTriple | None = None
+    derived: frozenset = field(default_factory=frozenset)
 
     @property
     def params_dict(self) -> dict:
@@ -146,8 +146,8 @@ def _complete(tags: Iterable[str]) -> frozenset:
     return frozenset(t)
 
 
-def _derive(kind: str, name: str, alpha, child_tags: list[frozenset],
-            params=()) -> frozenset:
+def _derive(kind: str, name: str, alpha, children, params=()) -> frozenset:
+    child_tags = [c.derived for c in children]
     if kind == "atom":
         return atom_tags(REGISTRY[name], dict(params))
     if kind == "affine":
@@ -205,6 +205,9 @@ def _derive(kind: str, name: str, alpha, child_tags: list[frozenset],
         f, g = child_tags
         if "CBF" in f and "CBF" in g:
             return frozenset({"CBF"})
+        # Schur product theorem with exponent sum 1: f(x^a) g(x^(1-a))
+        if name == "split_power" and "BF" in f and "BF" in g:
+            return frozenset({"BF"})
         return frozenset()
     if kind == "uchiyama":
         if all("CBF" in ct for ct in child_tags):
@@ -228,13 +231,18 @@ def _derive(kind: str, name: str, alpha, child_tags: list[frozenset],
 
 def _node(kind, name="", params=(), children=(), alpha=None,
           levy=None) -> FunctionExpr:
-    derived = _derive(kind, name, alpha, [c.tags for c in children], params)
+    derived = _complete(_derive(kind, name, alpha, children, params))
     return FunctionExpr(kind, name, tuple(params), tuple(children), alpha,
-                        _complete(derived), levy)
+                        derived, levy, derived)
 
 
 def with_tags(e: FunctionExpr, tags: Iterable[str]) -> FunctionExpr:
-    """Attach certificate tags (justified by the caller) to an expression."""
+    """Declare extra cone tags on an expression.
+
+    Declared tags join ``tags`` (and so infer_class and the JSON form) but
+    not ``derived``: model certificates read derived tags only, so a
+    declaration documents a claim without proving it.
+    """
     extra = set(tags)
     bad = extra - set(CONES)
     if bad:
@@ -247,12 +255,13 @@ def with_levy(e: FunctionExpr, triple: LevyTriple) -> FunctionExpr:
 
 
 def infer_class(e: FunctionExpr) -> frozenset:
-    """The cone tags certified for e.
+    """The cone tags recorded for e: derived plus declared.
 
     Every node derives its tags once, when it is built: atoms from catalog
-    facts, inner nodes by the closure rules from their children's tags, plus
-    any certificate attached through with_tags. This returns that stored
-    set, which is complete (CBF implies BF, S implies CM).
+    facts, inner nodes by the closure rules from their children's derived
+    tags. Tags declared through with_tags or persisted in JSON are added on
+    top. The set is complete (CBF implies BF, S implies CM). Certificates
+    use ``e.derived`` alone.
     """
     return e.tags
 
@@ -657,7 +666,28 @@ def _spectral_value(f: FunctionExpr, hdist: float) -> float:
 
 
 def spectral_node(f: FunctionExpr) -> FunctionExpr:
-    """Wrap a drift+density Levy carrier into an evaluable radial profile."""
+    """Wrap a drift+density Levy carrier into an evaluable radial profile.
+
+    The carrier is gated here, so every spectral node is a variogram in
+    d = 1: its Levy triple needs a vanishing constant term and a density m
+    (checked decreasing on a log grid) whose jump measure mu, with
+    m(t) = mu[t, inf), integrates min(s, s^2).
+    """
+    dens = spectral_measure(f)[1]
+    if f.levy.constant != 0.0:
+        raise ConstructionError(
+            "spectral construction requires a vanishing constant term"
+        )
+    if dens is not None:
+        grid = np.logspace(-3, 3, 61)
+        m_vals = evaluate(f.levy.density, grid)
+        rises = np.diff(m_vals)
+        if rises.max() > 1e-9 * max(1.0, float(np.abs(m_vals).max())):
+            i = int(np.argmax(rises))
+            raise ParameterError(
+                f"Levy density must be decreasing: m({grid[i]:g}) < m({grid[i + 1]:g})"
+            )
+        check_mu_integrability(dens)
     return _node("spectral", children=(f,))
 
 
@@ -676,8 +706,7 @@ def expr_to_json(e: FunctionExpr) -> dict:
         if e.kind == "affine":
             d.update(e.params_dict)
         d["args"] = [expr_to_json(c) for c in e.children]
-    derived = _derive(e.kind, e.name, e.alpha, [c.tags for c in e.children], e.params)
-    if e.tags != _complete(derived):
+    if e.tags != e.derived:
         d["tags"] = sorted(e.tags)
     return d
 
@@ -704,7 +733,7 @@ _OPS = {
 
 
 def expr_from_json(d: dict) -> FunctionExpr:
-    """Rebuild an expression; persisted "tags" join the derived ones."""
+    """Rebuild an expression; persisted "tags" are declared, not derived."""
     if not isinstance(d, dict):
         raise ParameterError(f"expression JSON must be an object, got {type(d).__name__}")
     if "atom" in d:
@@ -722,6 +751,5 @@ def expr_from_json(d: dict) -> FunctionExpr:
     else:
         raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
     if "tags" in d:
-        # persisted certificates are trusted on load
         e = with_tags(e, d["tags"])
     return e

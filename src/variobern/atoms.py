@@ -78,6 +78,8 @@ class AtomSpec:
     levy: Callable | None = None  # p -> triple spec dict, or None
     complex_body: Callable | None = None  # body(z, p) on the right half plane
     spectral_mu: Callable | None = None  # p -> (drift, mu density callable) or None
+    # p -> (model type, largest d) for which the atom of |A xi| is valid
+    norm_model: Callable | None = None
 
 
 def validate_params(spec: AtomSpec, params: dict) -> dict:
@@ -498,6 +500,7 @@ _register(AtomSpec(
         np.minimum(x / p["range"], 1.0)),
     zero=lambda p: 0.0,
     inf=lambda p: 1.0,
+    norm_model=lambda p: ("variogram", 3),
 ))
 
 _register(AtomSpec(
@@ -510,6 +513,8 @@ _register(AtomSpec(
     body=lambda x, p: np.maximum(1.0 - x / p["r"], 0.0) ** p["l"],
     zero=lambda p: 1.0,
     inf=lambda p: 0.0,
+    # positive definite on R^d iff l >= floor(d/2) + 1, i.e. d <= 2l - 1
+    norm_model=lambda p: ("covariance", 2 * int(p["l"]) - 1),
 ))
 
 

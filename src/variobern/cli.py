@@ -143,7 +143,7 @@ _PROFILE_CHECKS = ("cm", "bernstein", "polya", "profile_shape",
 CHECK_NAMES = _POINT_CHECKS + _PROFILE_CHECKS
 
 
-def _run_check(name: str, model, pts, tol: float):
+def _run_check(name: str, model, pts, tol: float, claimed: bool):
     if name in _POINT_CHECKS and pts is None:
         raise VarioBernError(f"check '{name}' needs --points")
     if name == "cnd":
@@ -180,8 +180,9 @@ def _run_check(name: str, model, pts, tol: float):
         gamma = models.variogram_from_covariance(model)
         r = model.support_radius
         # only squared_norm certificates are dimension-free; a spherical or
-        # Wendland certificate is specific to its d and plateaus legitimately
-        all_d = model.certified and model.mode == "squared_norm"
+        # Wendland certificate is specific to its d and plateaus legitimately.
+        # A certificate the input only claims is put to the same test.
+        all_d = (model.certified or claimed) and model.mode == "squared_norm"
         return checks.eventual_constancy_check(
             gamma.norm_profile, inner=r, outer=3.0 * r, tol=tol,
             all_d_certified=all_d)
@@ -190,7 +191,9 @@ def _run_check(name: str, model, pts, tol: float):
 
 
 def cmd_validate(args) -> int:
-    model = _load_model(args.model)
+    doc = _load_json_arg(args.model, "model")
+    model = models.model_from_json(doc)
+    claimed = doc.get("certified") is True
     pts = read_points_csv(args.points) if args.points else None
     if args.checks:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -207,7 +210,7 @@ def cmd_validate(args) -> int:
     worst = "pass"
     order = {"pass": 0, "inconclusive": 1, "fail": 2}
     for name in selected:
-        rep = _run_check(name, model, pts, args.tol)
+        rep = _run_check(name, model, pts, args.tol, claimed)
         sections.append({"check": name, **rep.to_json()})
         if order[rep.verdict] > order[worst]:
             worst = rep.verdict

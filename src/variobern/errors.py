@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "VarioBernError",
+    "ParameterError",
+    "EvaluationError",
+    "QuadratureError",
+    "DegenerateSystemError",
+    "ConstructionError",
+]
+
 
 class VarioBernError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .algebra import FunctionExpr, evaluate
-from .errors import ConstructionError, ParameterError
+from .algebra import FunctionExpr
+from .errors import ConstructionError
 from .models import Variogram
 from .points import PointSet
 
@@ -124,38 +124,19 @@ def nonstationary_kernel(g, d: int) -> NonstationaryKernel:
 # ----------------------------------------------------------------------
 # spectral construction
 
-def spectral_variogram(f: FunctionExpr, grid=None, tol: float = 1e-9) -> Variogram:
+def spectral_variogram(f: FunctionExpr) -> Variogram:
     """One-dimensional variogram from a drift + density Lévy carrier.
 
-    The carrier f must hold a Lévy triple whose measure is a density m,
-    checked decreasing on a grid; the jump measure mu with m(t) = mu[t, inf)
-    must integrate min(s, s^2). The resulting model evaluates
+    algebra.spectral_node gates the carrier (a vanishing constant term, a
+    decreasing density m, a jump measure mu with m(t) = mu[t, inf) that
+    integrates min(s, s^2)). The resulting model evaluates
 
         gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds)
 
     by split quadrature with an oscillatory-weight tail.
     """
-    dens = alg.spectral_measure(f)[1]
-    triple = f.levy
-    if triple.constant != 0.0:
-        raise ConstructionError(
-            "spectral construction requires a vanishing constant term"
-        )
-    if dens is not None:
-        g = np.logspace(-3, 3, 61) if grid is None else np.asarray(grid, float)
-        m_vals = evaluate(triple.density, g)
-        rises = np.diff(m_vals)
-        scale = max(1.0, float(np.abs(m_vals).max()))
-        if rises.max() > tol * scale:
-            i = int(np.argmax(rises))
-            raise ParameterError(
-                f"Levy density must be decreasing: m({g[i]:g}) < m({g[i + 1]:g})"
-            )
-        alg.check_mu_integrability(dens)
-    profile = alg.spectral_node(f)
     return Variogram(
-        profile=profile, mode="norm", anisotropy=np.eye(1), d=1,
-        certified=True,
+        profile=alg.spectral_node(f), mode="norm", anisotropy=np.eye(1), d=1,
         construction=f"spectral_variogram({alg.describe(f)})",
     )
 

@@ -7,9 +7,14 @@ every all-dimension-permissible radial variogram takes, with f Bernstein),
 product). Conflating the two argument conventions is the classic mistake,
 so the mode is an explicit field and part of the JSON format.
 
-Every constructor records a ``certified`` flag: True only when a closure
-theorem covers the construction, False ("unverified") otherwise. Unverified
-models still evaluate; the oracles decide their fate empirically.
+A model's ``certificate`` is derived, never stored: one rule set maps the
+model type, mode, dimension and profile to the theorem that makes the model
+valid, or to None ("unverified"). It reads only the tags the closure rules
+derive and the dimension bounds that atoms declare, never tags declared
+through with_tags or a flag read from JSON, so a certificate cannot be
+forged or carried across a transformation no theorem covers. ``certified``
+means the certificate is not None. Unverified models still evaluate; the
+oracles decide their fate empirically.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import FunctionExpr, evaluate
-from .errors import ConstructionError, ParameterError
+from .atoms import REGISTRY
+from .errors import ConstructionError, EvaluationError, ParameterError, QuadratureError
 
 __all__ = [
     "Variogram",
@@ -44,6 +50,48 @@ __all__ = [
 
 _MODES = ("squared_norm", "norm")
 
+# multiples of a declared support radius at which the profile must vanish
+_BEYOND_SUPPORT = np.array([1.0, 1.001, 1.5, 2.0, 10.0, 1e3])
+
+
+def _value(g: FunctionExpr, x: float) -> float | None:
+    """g(x), or None where g has no finite value (a pole, no limit at inf)."""
+    try:
+        return evaluate(g, x)
+    except (EvaluationError, QuadratureError):
+        return None
+
+
+def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None:
+    """The theorem that makes profile f a valid model, or None.
+
+    Every rule holds for any real anisotropy A, so A does not enter.
+    """
+    kind = "covariance" if is_cov else "variogram"
+    if mode == "squared_norm":
+        if not is_cov and "BF" in f.derived:
+            return "Bernstein profile of |A xi|^2: variogram in every dimension"
+        if is_cov and "CM" in f.derived and _value(f, 0.0) is not None:
+            return ("completely monotone profile of |A xi|^2: covariance in "
+                    "every dimension (Schoenberg)")
+    if f.kind == "affine" and f.params_dict["scale"] < 0.0:
+        (g,) = f.children
+        c, s = f.params_dict["shift"], -f.params_dict["scale"]
+        inner = _certificate(not is_cov, mode, d, g)
+        # C(0) - C vanishes at 0; sill - gamma needs gamma bounded by the sill
+        edge = _value(g, math.inf if is_cov else 0.0) if inner else None
+        if edge is not None and is_cov and c >= s * edge:
+            return f"sill - gamma with gamma <= sill a variogram [{inner}]"
+        if edge is not None and not is_cov and c == s * edge:
+            return f"C(0) - C with C a covariance [{inner}]"
+    if mode == "norm" and f.kind == "atom" and REGISTRY[f.name].norm_model:
+        declared, d_max = REGISTRY[f.name].norm_model(f.params_dict)
+        if declared == kind and d <= d_max:
+            return f"{f.name} of |A xi|: {kind} for d <= {d_max}"
+    if mode == "norm" and f.kind == "spectral" and not is_cov and d == 1:
+        return "spectral representation of |A xi|: variogram in d = 1"
+    return None
+
 
 @dataclass(frozen=True, eq=False)
 class _RadialModel:
@@ -51,7 +99,6 @@ class _RadialModel:
     mode: str
     anisotropy: np.ndarray
     d: int
-    certified: bool
     construction: str
 
     def __post_init__(self):
@@ -68,6 +115,16 @@ class _RadialModel:
             raise ParameterError("anisotropy must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "anisotropy", a)
+
+    @property
+    def certificate(self) -> str | None:
+        """The theorem that covers this model, or None (unverified)."""
+        return _certificate(isinstance(self, StationaryCovariance), self.mode,
+                            self.d, self.profile)
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
     def radial_argument(self, lags) -> np.ndarray:
         lag = np.asarray(lags, dtype=float)
@@ -110,6 +167,11 @@ class StationaryCovariance(_RadialModel):
             raise ParameterError("sill must be nonnegative")
         if self.support_radius <= 0:
             raise ParameterError("support_radius must be positive (inf allowed)")
+        r = self.support_radius
+        if math.isfinite(r) and np.any(self.norm_profile(r * _BEYOND_SUPPORT) != 0.0):
+            raise ParameterError(
+                f"support_radius={r:g} is not a support radius: the profile "
+                "does not vanish beyond it")
 
 
 # ----------------------------------------------------------------------
@@ -119,12 +181,15 @@ def make_variogram(f: FunctionExpr, A=None, d: int = 1,
                    mode: str = "squared_norm", construction: str = "") -> Variogram:
     """Wrap a radial profile into a variogram on R^d.
 
-    In squared_norm mode a BF-tagged profile certifies permissibility in
-    every dimension; anything else is accepted but flagged unverified.
+    In squared_norm mode a profile with a derived BF tag certifies
+    permissibility in every dimension; anything else is accepted but
+    unverified. Any real A keeps the certificate, a singular one included:
+    Schoenberg's theorem covers f(|A xi|^2) for every real A, and A = 0
+    gives the constant f(0). Such a model passes cnd_check, but its kriging
+    system is singular (DegenerateSystemError).
     """
-    certified = mode == "squared_norm" and "BF" in alg.infer_class(f)
     return Variogram(
-        profile=f, mode=mode, anisotropy=A, d=d, certified=certified,
+        profile=f, mode=mode, anisotropy=A, d=d,
         construction=construction or f"make_variogram({alg.describe(f)})",
     )
 
@@ -146,17 +211,13 @@ def schur_product_extended(g1: FunctionExpr, g2: FunctionExpr, alpha: float,
             f"schur product requires alpha + beta <= 1 (got {alpha + beta:g}); "
             "the closure theorem does not cover larger exponent sums"
         )
-
-    def factor(g, expo):
-        if expo == 0.0:
-            return alg.catalog("const", c=evaluate(g, 1.0))
-        return alg.compose(g, alg.catalog("power", a=expo))
-
-    h = alg.fprod(factor(g1, alpha), factor(g2, beta))
-    if "BF" in alg.infer_class(g1) and "BF" in alg.infer_class(g2):
-        # the theorem shows h' is completely monotone, which the product
-        # tag rule alone cannot see
-        h = alg.with_tags(h, {"BF"})
+    s = alpha + beta
+    if s == 0.0:
+        h = alg.catalog("const", c=evaluate(g1, 1.0) * evaluate(g2, 1.0))
+    else:
+        # g1(y^(alpha/s)) g2(y^(beta/s)) at y = x^s
+        h = alg.compose(alg.combine(g1, g2, "split_power", alpha / s),
+                        alg.catalog("power", a=s))
     return make_variogram(h, A, d, construction=(
         f"schur_product(alpha={alpha:g}, beta={beta:g}, "
         f"g1={alg.describe(g1)}, g2={alg.describe(g2)})"))
@@ -190,8 +251,7 @@ def cbf_variograms(g: FunctionExpr, which: str, d: int = 1, A=None) -> Variogram
     else:
         inv = alg.dualize(alg.compose(g, alg.catalog("recip")), "reciprocal")
         h = inv if which == "inv_arg" else alg.dualize(inv, "x_over_f")
-    # make_variogram certifies on the BF tag, which a dualize node carries
-    # exactly when it carries CBF
+    # a dualize node derives BF exactly when it derives CBF
     return make_variogram(h, A, d,
                           construction=f"cbf_variograms({which}, g={alg.describe(g)})")
 
@@ -210,8 +270,7 @@ def composition_products(g1: FunctionExpr, g2: FunctionExpr,
         raise ParameterError("three_factor needs g3")
     outer = alg.catalog("power", a=1.0) if which == "two_factor" else g3
     h = alg.uchiyama(outer, g1, g2)
-    # make_variogram certifies on the BF tag, which an uchiyama node carries
-    # exactly when it carries CBF
+    # an uchiyama node derives BF exactly when it derives CBF
     return make_variogram(
         h, A, d,
         construction=f"composition_products({which}, g1={alg.describe(g1)}, "
@@ -238,8 +297,7 @@ def wendland(r: float, l: int, d: int, A=None) -> StationaryCovariance:
         )
     return StationaryCovariance(
         profile=alg.catalog("wendland_profile", r=float(r), l=int(l)),
-        mode="norm", anisotropy=A, d=d,
-        certified=True, sill=1.0, support_radius=float(r),
+        mode="norm", anisotropy=A, d=d, sill=1.0, support_radius=float(r),
         construction=f"wendland(r={r:g}, l={l}, d={d})",
     )
 
@@ -251,7 +309,6 @@ def spherical(rng: float, d: int, A=None) -> Variogram:
     return Variogram(
         profile=alg.catalog("spherical_profile", {"range": float(rng)}),
         mode="norm", anisotropy=A, d=d,
-        certified=d <= 3,
         construction=f"spherical(range={rng:g}, d={d})",
     )
 
@@ -262,7 +319,7 @@ def spherical_covariance(rng: float, d: int, A=None) -> StationaryCovariance:
     return StationaryCovariance(
         profile=alg.affine(base.profile, shift=1.0, scale=-1.0),
         mode="norm", anisotropy=base.anisotropy, d=d,
-        certified=base.certified, sill=1.0, support_radius=float(rng),
+        sill=1.0, support_radius=float(rng),
         construction=f"spherical_covariance(range={rng:g}, d={d})",
     )
 
@@ -275,7 +332,6 @@ def exponential_covariance(rate: float = 1.0, d: int = 1, A=None) -> StationaryC
         profile=alg.compose(alg.catalog("exp_decay", a=rate),
                             alg.catalog("power", a=0.5)),
         mode="squared_norm", anisotropy=A, d=d,
-        certified=True, sill=1.0, support_radius=math.inf,
         construction=f"exponential_covariance(rate={rate:g}, d={d})",
     )
 
@@ -287,7 +343,6 @@ def matern_covariance(alpha: float = 1.0, nu: float = 0.5, d: int = 1,
     return StationaryCovariance(
         profile=alg.affine(f, shift=1.0, scale=-1.0),
         mode="squared_norm", anisotropy=A, d=d,
-        certified=True, sill=1.0, support_radius=math.inf,
         construction=f"matern_covariance(alpha={alpha:g}, nu={nu:g}, d={d})",
     )
 
@@ -299,7 +354,6 @@ def variogram_from_covariance(c: StationaryCovariance) -> Variogram:
     return Variogram(
         profile=alg.affine(c.profile, shift=sill, scale=-1.0),
         mode=c.mode, anisotropy=c.anisotropy, d=c.d,
-        certified=c.certified,
         construction=f"variogram_from_covariance({c.construction})",
     )
 
@@ -311,8 +365,7 @@ def covariance_from_variogram(v: Variogram, sill: float,
         raise ParameterError("sill must be nonnegative")
     return StationaryCovariance(
         profile=alg.affine(v.profile, shift=float(sill), scale=-1.0),
-        mode=v.mode, anisotropy=v.anisotropy, d=v.d,
-        certified=v.certified, sill=float(sill),
+        mode=v.mode, anisotropy=v.anisotropy, d=v.d, sill=float(sill),
         support_radius=float(support_radius),
         construction=f"covariance_from_variogram({v.construction})",
     )
@@ -329,6 +382,7 @@ def model_to_json(m: _RadialModel) -> dict:
         "A": m.anisotropy.tolist(),
         "d": m.d,
         "certified": m.certified,
+        "certificate": m.certificate,
         "construction": m.construction,
     }
     if isinstance(m, StationaryCovariance):
@@ -350,7 +404,6 @@ def model_from_json(d: dict):
         sr = d.get("support_radius")
         return StationaryCovariance(
             profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
-            certified=bool(d.get("certified", False)),
             sill=float(d.get("sill", 1.0)),
             support_radius=math.inf if sr is None else float(sr),
             construction=d.get("construction", ""),
@@ -359,6 +412,5 @@ def model_from_json(d: dict):
         raise ParameterError(f"unknown model type '{kind}'")
     return Variogram(
         profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
-        certified=bool(d.get("certified", False)),
         construction=d.get("construction", ""),
     )
