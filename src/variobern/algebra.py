@@ -102,9 +102,19 @@ class FunctionExpr:
     params: tuple[tuple[str, float], ...] = ()
     children: tuple["FunctionExpr", ...] = ()
     alpha: float | None = None
-    tags: frozenset = field(default_factory=frozenset)  # derived | declared
+    tags: frozenset = field(default_factory=frozenset)  # declared; derived joins
     levy: LevyTriple | None = None
-    derived: frozenset = field(default_factory=frozenset)
+    derived: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # derived from the node's own fields on every construction, replace()
+        # included, so no caller can set it; tags absorb it
+        if self.kind == "spectral":
+            _check_spectral_carrier(self.children[0])
+        derived = _complete(_derive(self.kind, self.name, self.alpha,
+                                    self.children, self.params))
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "tags", _complete(set(self.tags) | derived))
 
     @property
     def params_dict(self) -> dict:
@@ -149,7 +159,8 @@ def _complete(tags: Iterable[str]) -> frozenset:
 def _derive(kind: str, name: str, alpha, children, params=()) -> frozenset:
     child_tags = [c.derived for c in children]
     if kind == "atom":
-        return atom_tags(REGISTRY[name], dict(params))
+        spec = REGISTRY[name]
+        return atom_tags(spec, validate_params(spec, dict(params)))
     if kind == "affine":
         # conic combination with a nonnegative constant stays in each cone
         p = dict(params)
@@ -231,9 +242,8 @@ def _derive(kind: str, name: str, alpha, children, params=()) -> frozenset:
 
 def _node(kind, name="", params=(), children=(), alpha=None,
           levy=None) -> FunctionExpr:
-    derived = _complete(_derive(kind, name, alpha, children, params))
     return FunctionExpr(kind, name, tuple(params), tuple(children), alpha,
-                        derived, levy, derived)
+                        levy=levy)
 
 
 def with_tags(e: FunctionExpr, tags: Iterable[str]) -> FunctionExpr:
@@ -247,7 +257,7 @@ def with_tags(e: FunctionExpr, tags: Iterable[str]) -> FunctionExpr:
     bad = extra - set(CONES)
     if bad:
         raise ParameterError(f"unknown cone tags {sorted(bad)}; expected {CONES}")
-    return replace(e, tags=_complete(set(e.tags) | extra))
+    return replace(e, tags=e.tags | extra)
 
 
 def with_levy(e: FunctionExpr, triple: LevyTriple) -> FunctionExpr:
@@ -668,11 +678,15 @@ def _spectral_value(f: FunctionExpr, hdist: float) -> float:
 def spectral_node(f: FunctionExpr) -> FunctionExpr:
     """Wrap a drift+density Levy carrier into an evaluable radial profile.
 
-    The carrier is gated here, so every spectral node is a variogram in
-    d = 1: its Levy triple needs a vanishing constant term and a density m
-    (checked decreasing on a log grid) whose jump measure mu, with
-    m(t) = mu[t, inf), integrates min(s, s^2).
+    Every spectral node gates its carrier when it is built, so each one is
+    a variogram in d = 1: the Levy triple needs a vanishing constant term
+    and a density m (checked decreasing on a log grid) whose jump measure
+    mu, with m(t) = mu[t, inf), integrates min(s, s^2).
     """
+    return _node("spectral", children=(f,))
+
+
+def _check_spectral_carrier(f: FunctionExpr) -> None:
     dens = spectral_measure(f)[1]
     if f.levy.constant != 0.0:
         raise ConstructionError(
@@ -688,7 +702,6 @@ def spectral_node(f: FunctionExpr) -> FunctionExpr:
                 f"Levy density must be decreasing: m({grid[i]:g}) < m({grid[i + 1]:g})"
             )
         check_mu_integrability(dens)
-    return _node("spectral", children=(f,))
 
 
 # ----------------------------------------------------------------------

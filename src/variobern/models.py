@@ -19,6 +19,7 @@ oracles decide their fate empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import algebra as alg
 from .algebra import FunctionExpr, evaluate
 from .atoms import REGISTRY
-from .errors import ConstructionError, EvaluationError, ParameterError, QuadratureError
+from .errors import ConstructionError, EvaluationError, ParameterError
 
 __all__ = [
     "Variogram",
@@ -54,11 +55,23 @@ _MODES = ("squared_norm", "norm")
 _BEYOND_SUPPORT = np.array([1.0, 1.001, 1.5, 2.0, 10.0, 1e3])
 
 
-def _value(g: FunctionExpr, x: float) -> float | None:
-    """g(x), or None where g has no finite value (a pole, no limit at inf)."""
+def _inexact_at_endpoints(g: FunctionExpr) -> bool:
+    """Whether evaluate(g, 0 or inf) may substitute a finite point for the
+    endpoint (x/f(x), f(x)/x, uchiyama) or run quadrature (spectral)."""
+    if g.kind in ("uchiyama", "spectral") or (
+            g.kind == "dualize" and g.name != "reciprocal"):
+        return True
+    return any(_inexact_at_endpoints(c) for c in g.children)
+
+
+def _limit(g: FunctionExpr, x: float) -> float | None:
+    """The exact limit of g at x = 0 or inf, or None where there is no finite
+    limit or the evaluator can only approximate it."""
+    if _inexact_at_endpoints(g):
+        return None
     try:
         return evaluate(g, x)
-    except (EvaluationError, QuadratureError):
+    except EvaluationError:
         return None
 
 
@@ -71,7 +84,7 @@ def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None
     if mode == "squared_norm":
         if not is_cov and "BF" in f.derived:
             return "Bernstein profile of |A xi|^2: variogram in every dimension"
-        if is_cov and "CM" in f.derived and _value(f, 0.0) is not None:
+        if is_cov and "CM" in f.derived and _limit(f, 0.0) is not None:
             return ("completely monotone profile of |A xi|^2: covariance in "
                     "every dimension (Schoenberg)")
     if f.kind == "affine" and f.params_dict["scale"] < 0.0:
@@ -79,7 +92,7 @@ def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None
         c, s = f.params_dict["shift"], -f.params_dict["scale"]
         inner = _certificate(not is_cov, mode, d, g)
         # C(0) - C vanishes at 0; sill - gamma needs gamma bounded by the sill
-        edge = _value(g, math.inf if is_cov else 0.0) if inner else None
+        edge = _limit(g, math.inf if is_cov else 0.0) if inner else None
         if edge is not None and is_cov and c >= s * edge:
             return f"sill - gamma with gamma <= sill a variogram [{inner}]"
         if edge is not None and not is_cov and c == s * edge:
@@ -116,7 +129,7 @@ class _RadialModel:
         a.flags.writeable = False
         object.__setattr__(self, "anisotropy", a)
 
-    @property
+    @functools.cached_property
     def certificate(self) -> str | None:
         """The theorem that covers this model, or None (unverified)."""
         return _certificate(isinstance(self, StationaryCovariance), self.mode,

@@ -102,6 +102,48 @@ def test_covariance_of_an_unbounded_variogram_is_uncertified():
     assert not c.certified and c.certificate is None
 
 
+def test_covariance_of_an_approximated_limit_is_uncertified():
+    """log(2 + x) is unbounded, though evaluating its x/f(x) node at inf
+    substitutes a finite point and returns about 690.8."""
+    h = vb.compose(vb.catalog("log1p"),
+                   vb.dualize(vb.catalog("frac_linear", {"lam": 1.0}), "x_over_f"))
+    assert vb.evaluate(h, np.inf) < 700.0
+    v = vb.make_variogram(h, d=2)
+    assert v.certificate == BF_ALL_D
+    assert not vb.covariance_from_variogram(v, sill=700.0).certified
+    u = vb.composition_products(vb.catalog("frac_linear", {"lam": 1.0}),
+                                vb.catalog("log1p"), d=2)
+    assert u.certified
+    assert not vb.covariance_from_variogram(u, sill=1e300).certified
+
+
+def test_derived_tags_cannot_be_set():
+    e = vb.catalog("one_minus_cos")
+    with pytest.raises(ValueError):
+        dataclasses.replace(e, derived=frozenset({"BF"}))
+    with pytest.raises(TypeError):
+        vb.FunctionExpr("atom", "one_minus_cos", derived=frozenset({"BF"}))
+    forged = vb.FunctionExpr("atom", "one_minus_cos", tags=frozenset({"CBF"}))
+    assert forged.derived == frozenset() and "BF" in forged.tags
+    assert not vb.make_variogram(forged, d=2).certified
+
+
+def test_spectral_carrier_is_gated_on_every_construction():
+    node = vb.spectral_node(vb.catalog("log1p"))
+    rising = vb.with_levy(vb.catalog("log1p"),
+                          vb.LevyTriple(density=vb.catalog("power", {"a": 0.5})))
+    with pytest.raises(ParameterError, match="decreasing"):
+        dataclasses.replace(node, children=(rising,))
+    with pytest.raises(ParameterError, match="decreasing"):
+        vb.FunctionExpr("spectral", children=(rising,))
+
+
+def test_certificate_is_computed_once():
+    c = vb.matern_covariance(1.0, 1.5, d=2)
+    assert c.certificate is c.certificate
+    assert "certificate" in vars(c)
+
+
 def test_json_certified_flag_is_not_read():
     j = vb.model_to_json(vb.make_variogram(vb.catalog("sine"), d=2))
     j["certified"] = True
