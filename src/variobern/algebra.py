@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .atoms import ALIASES, CBF_TABLE, REGISTRY, atom_tags, validate_params
+from .atoms import ALIASES, CBF_TABLE, COMPLEX_ATOMS, REGISTRY, atom_tags, validate_params
 from .errors import (
     ConstructionError,
     EvaluationError,
@@ -419,19 +419,17 @@ _REAL_ONLY = frozenset({"combine", "dualize", "uchiyama", "spectral"})
 
 
 def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
-    """Evaluate e at real x >= 0 or at complex x on the right half plane."""
+    """Evaluate e at real x >= 0 or at complex x off the negative real axis."""
     if e.kind in _REAL_ONLY and np.iscomplexobj(x):
         raise EvaluationError(
             f"complex evaluation is unsupported for node kind '{e.kind}'"
         )
     if e.kind == "atom":
+        if np.iscomplexobj(x) and e.name not in COMPLEX_ATOMS:
+            raise EvaluationError(
+                f"atom '{e.name}' has no complex continuation implemented"
+            )
         spec, p = REGISTRY[e.name], e.params_dict
-        if np.iscomplexobj(x):
-            if spec.complex_body is None:
-                raise EvaluationError(
-                    f"atom '{e.name}' has no complex continuation implemented"
-                )
-            return spec.complex_body(x, p)
         out = np.empty_like(x)
         zero = x == 0.0
         infm = np.isinf(x)
@@ -521,9 +519,10 @@ def evaluate(e: FunctionExpr, x):
 
 
 def evaluate_complex(e: FunctionExpr, z):
-    """Evaluate on the right half plane where the atoms extend analytically.
+    """Evaluate at complex z off the negative real axis (the imaginary axis
+    included) through the principal-branch continuation of the atoms.
 
-    Atoms use their complex continuation; combine, dualize, uchiyama and
+    Atoms outside atoms.COMPLEX_ATOMS and combine, dualize, uchiyama and
     spectral nodes raise EvaluationError.
     """
     zz = np.asarray(z, dtype=complex)
@@ -561,38 +560,42 @@ def _quiet_quadrature():
         yield
 
 
+def _integral(pieces, gate: float, error: type, message: str) -> float:
+    """Sum of signed quad pieces ``(sign, f, a, b, quad keywords)``.
+
+    Raise ``error(message)`` unless the sum is finite and the summed error
+    estimate is at most gate * max(1, |sum|); message may name the sum as
+    {value} and the error estimate as {bound}.
+    """
+    total = bound = 0.0
+    with _quiet_quadrature():
+        for sign, f, a, b, kw in pieces:
+            value, err = quad(f, a, b, **kw)[:2]
+            total += sign * value
+            bound += err
+    if not np.isfinite(total) or bound > gate * max(1.0, abs(total)):
+        raise error(message.format(value=total, bound=bound))
+    return total
+
+
 @functools.lru_cache(maxsize=64)
 def _check_levy_integrability(density: FunctionExpr) -> None:
     f = lambda t: t / (1.0 + t) * evaluate(density, t)
-    with _quiet_quadrature():
-        head, eh = quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)[:2]
-        tail, et = quad(f, 1.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)[:2]
-    total = head + tail
-    if not np.isfinite(total) or (eh + et) > 1e-4 * max(1.0, abs(total)):
-        raise ParameterError(
-            "Levy density fails the integrability requirement "
-            "integral t/(1+t) m(t) dt < inf"
-        )
+    kw = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+    _integral([(1, f, 0.0, 1.0, kw), (1, f, 1.0, np.inf, kw)], 1e-4, ParameterError,
+              "Levy density fails the integrability requirement "
+              "integral t/(1+t) m(t) dt < inf")
 
 
 def _levy_integral(density: FunctionExpr, x: float) -> float:
     if x == 0.0:
         return 0.0
-    m = lambda t: evaluate(density, t)
+    f = lambda t: -np.expm1(-x * t) * evaluate(density, t)
+    kw = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
     knee = 1.0 / x
-    with _quiet_quadrature():
-        head = quad(lambda t: -np.expm1(-x * t) * m(t), 0.0, knee,
-                    epsabs=1e-12, epsrel=1e-11, limit=300, full_output=True)
-        tail = quad(lambda t: -np.expm1(-x * t) * m(t), knee, np.inf,
-                    epsabs=1e-12, epsrel=1e-11, limit=300, full_output=True)
-    val = head[0] + tail[0]
-    err = head[1] + tail[1]
-    if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"Levy integral did not converge at x={x:g} "
-            f"(estimate {val!r}, error bound {err:g})"
-        )
-    return val
+    return _integral([(1, f, 0.0, knee, kw), (1, f, knee, np.inf, kw)], 1e-6,
+                     QuadratureError, f"Levy integral did not converge at x={x:g} "
+                     "(estimate {value!r}, error bound {bound:g})")
 
 
 # ----------------------------------------------------------------------
@@ -636,17 +639,10 @@ def spectral_measure(f: FunctionExpr):
 def check_mu_integrability(dens) -> None:
     """Raise QuadratureError unless the jump measure with density dens
     integrates min(s, s^2), the condition for a finite spectral variogram."""
-    with _quiet_quadrature():
-        head = quad(lambda s: s * s * dens(s), 0.0, 1.0,
-                    epsabs=1e-9, epsrel=1e-9, limit=200)
-        tail = quad(lambda s: s * dens(s), 1.0, np.inf,
-                    epsabs=1e-9, epsrel=1e-9, limit=200)
-    total = head[0] + tail[0]
-    err = head[1] + tail[1]
-    if not np.isfinite(total) or err > 1e-3 * max(1.0, abs(total)):
-        raise QuadratureError(
-            "recovered jump measure fails the integral min(s, s^2) mu(ds) check"
-        )
+    kw = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
+    _integral([(1, lambda s: s * s * dens(s), 0.0, 1.0, kw),
+               (1, lambda s: s * dens(s), 1.0, np.inf, kw)], 1e-3, QuadratureError,
+              "recovered jump measure fails the integral min(s, s^2) mu(ds) check")
 
 
 @functools.lru_cache(maxsize=65536)
@@ -659,20 +655,12 @@ def _spectral_value(f: FunctionExpr, hdist: float) -> float:
     if dens is None:
         return total
     knee = 1.0 / w
-    with _quiet_quadrature():
-        near = quad(lambda s: (1.0 - np.cos(s * w)) * dens(s), 0.0, knee,
-                    epsabs=1e-11, epsrel=1e-11, limit=300, full_output=True)
-        mass = quad(dens, knee, np.inf,
-                    epsabs=1e-11, epsrel=1e-11, limit=300, full_output=True)
-        osc = quad(dens, knee, np.inf, weight="cos", wvar=w,
-                   epsabs=1e-11, limit=300, full_output=True)
-    val = near[0] + mass[0] - osc[0]
-    err = near[1] + mass[1] + osc[1]
-    if not np.isfinite(val) or err > 1e-7 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"spectral quadrature did not converge at lag {hdist:g}"
-        )
-    return total + val
+    kw = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
+    return total + _integral(
+        [(1, lambda s: (1.0 - np.cos(s * w)) * dens(s), 0.0, knee, kw),
+         (1, dens, knee, np.inf, kw),
+         (-1, dens, knee, np.inf, dict(weight="cos", wvar=w, epsabs=1e-11, limit=300))],
+        1e-7, QuadratureError, f"spectral quadrature did not converge at lag {hdist:g}")
 
 
 def spectral_node(f: FunctionExpr) -> FunctionExpr:

@@ -3,7 +3,8 @@
 Every atom evaluates on the closed extended half line: bodies receive strictly
 positive finite arguments, while the limits at 0 and +inf are supplied
 separately so composition chains can propagate IEEE infinities without ever
-producing NaN for arguments where a limit exists.
+producing NaN for arguments where a limit exists. The bodies of the atoms
+in COMPLEX_ATOMS also take complex arguments off the half line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "REGISTRY",
     "ALIASES",
     "CBF_TABLE",
+    "COMPLEX_ATOMS",
     "validate_params",
     "atom_tags",
 ]
@@ -76,7 +78,6 @@ class AtomSpec:
     inf: Callable  # p -> limit at +inf (nan if none exists)
     tags: Callable = field(default=lambda p: frozenset())
     levy: Callable | None = None  # p -> triple spec dict, or None
-    complex_body: Callable | None = None  # body(z, p) on the right half plane
     spectral_mu: Callable | None = None  # p -> (drift, mu density callable) or None
     # p -> (model type, largest d) for which the atom of |A xi| is valid
     norm_model: Callable | None = None
@@ -148,6 +149,13 @@ def _matern_body(x: np.ndarray, p: dict) -> np.ndarray:
         t = np.where(np.isfinite(t), t, 0.0)
         out[~small] = 1.0 - t
     return out
+
+
+def _log1p_body(x: np.ndarray, p: dict) -> np.ndarray:
+    # numpy's complex log1p takes the log of |1 + z| after rounding it, which
+    # loses the real part near 0 on the imaginary axis (all of it at 1e-8j);
+    # the complex log of 1 + z does not
+    return np.log(1.0 + x) if np.iscomplexobj(x) else np.log1p(x)
 
 
 def _log_over_gap_body(x: np.ndarray, p: dict) -> np.ndarray:
@@ -227,7 +235,6 @@ _register(AtomSpec(
     tags=lambda p: frozenset({"BF"}),
     levy=lambda p: {"drift": 0.0, "constant": 0.0,
                     "atoms": [(p["a"], 1.0)] if p["a"] > 0 else []},
-    complex_body=lambda z, p: -np.expm1(-p["a"] * z),
 ))
 
 _register(AtomSpec(
@@ -251,7 +258,6 @@ _register(AtomSpec(
                    "args": [{"atom": "power", "params": {"a": 1.0}}]},
               ]}}
     ),
-    complex_body=lambda z, p: z ** p["a"],
     spectral_mu=lambda p: (
         (1.0, None) if p["a"] == 1.0
         else (0.0, lambda s, a=p["a"], c=None: (a * (1.0 + a) / sc.gamma(1.0 - a))
@@ -265,7 +271,7 @@ _register(AtomSpec(
     params=(),
     formula="log(1 + x)",
     provenance="complete Bernstein function",
-    body=lambda x, p: np.log1p(x),
+    body=_log1p_body,
     zero=lambda p: 0.0,
     inf=lambda p: math.inf,
     tags=lambda p: frozenset({"CBF"}),
@@ -274,7 +280,6 @@ _register(AtomSpec(
                         {"atom": "exp_decay", "params": {"a": 1.0}},
                         {"atom": "recip", "params": {}},
                     ]}},
-    complex_body=lambda z, p: np.log(1.0 + z),
     spectral_mu=lambda p: (0.0, lambda s: np.exp(-s) * (1.0 + s) / s**2),
 ))
 
@@ -305,7 +310,6 @@ _register(AtomSpec(
                         {"atom": "const", "params": {"c": p["lam"] ** 2}},
                         {"atom": "exp_decay", "params": {"a": p["lam"]}},
                     ]}},
-    complex_body=lambda z, p: p["lam"] * z / (p["lam"] + z),
     spectral_mu=lambda p: (0.0, lambda s, lam=p["lam"]: lam**3 * np.exp(-lam * s)),
 ))
 
@@ -331,7 +335,6 @@ _register(AtomSpec(
     zero=lambda p: 1.0,
     inf=lambda p: 0.0,
     tags=lambda p: frozenset({"CM"}),
-    complex_body=lambda z, p: np.exp(-p["a"] * z),
 ))
 
 # --- complete Bernstein table ------------------------------------------------
@@ -452,7 +455,6 @@ _register(AtomSpec(
     tags=lambda p: frozenset({"CBF", "S"}) if p["c"] >= 0 else frozenset(),
     levy=lambda p: ({"drift": 0.0, "constant": p["c"], "atoms": []}
                     if p["c"] >= 0 else None),
-    complex_body=lambda z, p: np.full_like(z, p["c"]),
 ))
 
 _register(AtomSpec(
@@ -465,7 +467,6 @@ _register(AtomSpec(
     zero=lambda p: math.inf,
     inf=lambda p: 0.0,
     tags=lambda p: frozenset({"S"}),
-    complex_body=lambda z, p: 1.0 / z,
 ))
 
 _register(AtomSpec(
@@ -520,6 +521,11 @@ _register(AtomSpec(
 
 # former names of the table's Cauchy and Dagum entries, still accepted on load
 ALIASES: dict[str, str] = {"cauchy_cbf": "cauchy", "dagum_cbf": "dagum"}
+
+# atoms whose real body is also the principal-branch analytic continuation
+# off the half line; evaluate_complex accepts only these
+COMPLEX_ATOMS = frozenset({"exp_one_minus", "power", "log1p", "frac_linear",
+                           "exp_decay", "const", "recip"})
 
 # canonical 12-member complete Bernstein table used by the certification suite
 CBF_TABLE: tuple[tuple[str, dict], ...] = (

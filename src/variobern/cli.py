@@ -206,21 +206,14 @@ def cmd_validate(args) -> int:
         "points": args.points, "checks": selected, "tol": args.tol,
         "out": args.out,
     }
-    sections = []
-    worst = "pass"
-    order = {"pass": 0, "inconclusive": 1, "fail": 2}
-    for name in selected:
-        rep = _run_check(name, model, pts, args.tol, claimed)
-        sections.append({"check": name, **rep.to_json()})
-        if order[rep.verdict] > order[worst]:
-            worst = rep.verdict
-    payload = {"config": config, "verdict": worst, "reports": sections}
+    reports = [_run_check(name, model, pts, args.tol, claimed) for name in selected]
+    verdict = checks.PermissibilityReport(
+        tuple(rec for rep in reports for rec in rep.checks)).verdict
+    payload = {"config": config, "verdict": verdict,
+               "reports": [{"check": name, **rep.to_json()}
+                           for name, rep in zip(selected, reports)]}
     _emit(_json_text(payload), args.out)
-    if worst == "pass":
-        return EXIT_PASS
-    if worst == "fail":
-        return EXIT_FAIL
-    return EXIT_ERROR
+    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_ERROR}[verdict]
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +236,8 @@ def _shift_kernel_recipe(ctor: str, args: dict) -> dict:
         "kind": ctor,
         "base": models.model_to_json(base),
         "eta": eta.tolist(),
-        "certified": base.certified,
+        # the shift theorems cover variogram bases only
+        "certified": isinstance(base, models.Variogram) and base.certified,
     }
 
 
@@ -337,7 +331,7 @@ def cmd_krige(args) -> int:
     targets = _parse_grid_spec(args.grid, model.d)
     config = {"command": "krige", "model": models.model_to_json(model),
               "points": args.points, "grid": args.grid, "mode": args.mode,
-              "tol": args.tol, "out": args.out}
+              "out": args.out}
     results = kriging.krige_many(model, pts, targets, mode=args.mode)
     preds = [{"target": t.tolist(), **res.to_json(), "variance": res.variance,
               "residual": res.residual} for t, res in zip(targets, results)]
@@ -380,15 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "kriging and simulation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=False, points=False, grid=False, mode=False):
+    def common(sp, model=False, points=False, grid=False, mode=False,
+               tol=False, seed=False):
         if model:
             sp.add_argument("--model", required=True,
                             help="model/recipe JSON, inline or a file path")
         if points:
             sp.add_argument("--points", help="sites CSV (header x1,...,xd[,value])")
-        sp.add_argument("--tol", type=float, default=1e-8,
-                        help="relative tolerance (default 1e-8)")
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-8,
+                            help="relative tolerance (default 1e-8)")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="master seed")
         sp.add_argument("--out", help="output path (default stdout)")
         if grid:
             sp.add_argument("--grid", help="axis spec lo:hi:n[,lo:hi:n...]")
@@ -401,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("validate", help="run permissibility checks")
-    common(sp, model=True, points=True)
+    common(sp, model=True, points=True, tol=True)
     sp.add_argument("--checks",
                     help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
     sp.set_defaults(func=cmd_validate)
@@ -420,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate",
                         help="simulate replicates, emit empirical variogram")
-    common(sp, model=True, points=True, grid=True)
+    common(sp, model=True, points=True, grid=True, tol=True, seed=True)
     sp.add_argument("--replicates", type=int, default=200,
                     help="number of replicates (default 200)")
     sp.set_defaults(func=cmd_simulate)

@@ -109,10 +109,9 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
     radius = _require_sparse_support(model)
     y = pts.coords @ model.anisotropy.T
     pairs = cKDTree(y).query_pairs(radius, output_type="ndarray")
-    diag = float(model(np.zeros((1, pts.d)))[0])
     rows = [np.arange(pts.n)]
     cols = [np.arange(pts.n)]
-    vals = [np.full(pts.n, diag)]
+    vals = [np.full(pts.n, model.sill)]
     if len(pairs):
         lag = pts.coords[pairs[:, 0]] - pts.coords[pairs[:, 1]]
         v = np.asarray(model(lag), dtype=float)
@@ -184,7 +183,7 @@ def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[Krigi
                            np.abs(weights.sum(axis=0) - 1.0))
     wk0 = np.einsum("it,it->t", weights, k0)
     if isinstance(model, StationaryCovariance):
-        variance = float(model(np.zeros((1, pts.d)))[0]) - wk0 - mu
+        variance = model.sill - wk0 - mu
     else:
         variance = wk0 + mu
     weights = np.ascontiguousarray(weights.T)

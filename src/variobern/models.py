@@ -168,16 +168,17 @@ class Variogram(_RadialModel):
 
 @dataclass(frozen=True, eq=False)
 class StationaryCovariance(_RadialModel):
-    """C(xi) = f(|A xi|^2) or f(|A xi|), with sill C(0) and support radius."""
+    """C(xi) = f(|A xi|^2) or f(|A xi|), with support radius.
 
-    sill: float = 1.0
+    The sill C(0) = f(0) is fixed by the profile, so it is computed, never
+    given.
+    """
+
     support_radius: float = math.inf
     construction: str = ""
 
     def __post_init__(self):
         super().__post_init__()
-        if self.sill < 0:
-            raise ParameterError("sill must be nonnegative")
         if self.support_radius <= 0:
             raise ParameterError("support_radius must be positive (inf allowed)")
         r = self.support_radius
@@ -185,6 +186,11 @@ class StationaryCovariance(_RadialModel):
             raise ParameterError(
                 f"support_radius={r:g} is not a support radius: the profile "
                 "does not vanish beyond it")
+
+    @functools.cached_property
+    def sill(self) -> float:
+        """C(0), the profile's value at radius 0."""
+        return float(self.norm_profile(0.0))
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +316,7 @@ def wendland(r: float, l: int, d: int, A=None) -> StationaryCovariance:
         )
     return StationaryCovariance(
         profile=alg.catalog("wendland_profile", r=float(r), l=int(l)),
-        mode="norm", anisotropy=A, d=d, sill=1.0, support_radius=float(r),
+        mode="norm", anisotropy=A, d=d, support_radius=float(r),
         construction=f"wendland(r={r:g}, l={l}, d={d})",
     )
 
@@ -331,8 +337,7 @@ def spherical_covariance(rng: float, d: int, A=None) -> StationaryCovariance:
     base = spherical(rng, d, A)
     return StationaryCovariance(
         profile=alg.affine(base.profile, shift=1.0, scale=-1.0),
-        mode="norm", anisotropy=base.anisotropy, d=d,
-        sill=1.0, support_radius=float(rng),
+        mode="norm", anisotropy=base.anisotropy, d=d, support_radius=float(rng),
         construction=f"spherical_covariance(range={rng:g}, d={d})",
     )
 
@@ -363,9 +368,8 @@ def matern_covariance(alpha: float = 1.0, nu: float = 0.5, d: int = 1,
 def variogram_from_covariance(c: StationaryCovariance) -> Variogram:
     """gamma(xi) = C(0) - C(xi); bounded by the sill, eventually constant
     exactly when C is compactly supported."""
-    sill = float(evaluate(c.profile, 0.0))
     return Variogram(
-        profile=alg.affine(c.profile, shift=sill, scale=-1.0),
+        profile=alg.affine(c.profile, shift=c.sill, scale=-1.0),
         mode=c.mode, anisotropy=c.anisotropy, d=c.d,
         construction=f"variogram_from_covariance({c.construction})",
     )
@@ -378,7 +382,7 @@ def covariance_from_variogram(v: Variogram, sill: float,
         raise ParameterError("sill must be nonnegative")
     return StationaryCovariance(
         profile=alg.affine(v.profile, shift=float(sill), scale=-1.0),
-        mode=v.mode, anisotropy=v.anisotropy, d=v.d, sill=float(sill),
+        mode=v.mode, anisotropy=v.anisotropy, d=v.d,
         support_radius=float(support_radius),
         construction=f"covariance_from_variogram({v.construction})",
     )
@@ -399,7 +403,6 @@ def model_to_json(m: _RadialModel) -> dict:
         "construction": m.construction,
     }
     if isinstance(m, StationaryCovariance):
-        out["sill"] = m.sill
         out["support_radius"] = None if math.isinf(m.support_radius) else m.support_radius
     return out
 
@@ -417,7 +420,6 @@ def model_from_json(d: dict):
         sr = d.get("support_radius")
         return StationaryCovariance(
             profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
-            sill=float(d.get("sill", 1.0)),
             support_radius=math.inf if sr is None else float(sr),
             construction=d.get("construction", ""),
         )

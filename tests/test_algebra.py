@@ -477,3 +477,29 @@ def test_complex_evaluation_rejects_real_only_nodes(build):
     e = build(f, vb.catalog("log1p"))
     with pytest.raises(EvaluationError, match="unsupported for node kind"):
         vb.evaluate_complex(e, 1.0 + 1.0j)
+
+
+def test_complex_log1p_keeps_its_real_part_on_the_imaginary_axis():
+    """log(1 + iy) has real part log1p(y^2) / 2, which numpy's complex log1p
+    rounds away for small y."""
+    y = np.array([1e-8, 1e-4, 1e-2, 1.0, 1e3])
+    got = vb.evaluate_complex(vb.catalog("log1p"), 1j * y)
+    assert np.allclose(got.real, 0.5 * np.log1p(y * y), rtol=1e-14, atol=0.0)
+    assert np.allclose(got.imag, np.arctan(y), rtol=1e-14, atol=0.0)
+
+
+def test_complex_atoms_are_exactly_the_continued_ones():
+    from variobern.atoms import COMPLEX_ATOMS, REGISTRY
+    z = np.array([0.5 + 1.5j, 3.0j])
+    for name in vb.catalog_names():
+        spec = REGISTRY[name]
+        params = {p.name: (2.0 if p.integer else 0.5) for p in spec.params}
+        try:
+            f = vb.catalog(name, params)
+        except ParameterError:
+            continue
+        if name in COMPLEX_ATOMS:
+            assert np.all(np.isfinite(vb.evaluate_complex(f, z))), name
+        else:
+            with pytest.raises(EvaluationError, match="complex continuation"):
+                vb.evaluate_complex(f, z)

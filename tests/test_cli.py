@@ -408,3 +408,46 @@ def test_validate_rejects_a_nonpositive_tol(capsys, tmp_path, model, checks):
                          "--points", sites, "--checks", checks, "--tol", "-0.001")
     assert code == 2
     assert out == "" and "tol must be positive" in err
+
+
+@pytest.mark.parametrize("ctor", ["difference_kernel", "sum_kernel"])
+def test_construct_shift_kernel_of_a_covariance_is_not_certified(capsys, ctor):
+    """The shift theorems cover variogram bases only; a certified covariance
+    base must not lend its certificate to the shift kernel."""
+    for base, certified in ((vb.exponential_covariance(1.0, d=1), False),
+                            (vb.make_variogram(vb.catalog("log1p"), d=1), True)):
+        recipe = json.dumps({"constructor": ctor,
+                             "args": {"base": vb.model_to_json(base), "eta": [1.0]}})
+        code, out, _ = run(capsys, "construct", "--model", recipe)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certified"] is payload["kernel"]["certified"] is certified
+
+
+def test_difference_kernel_of_a_covariance_fails_pd():
+    k = vb.difference_kernel(vb.exponential_covariance(1.0, d=1), [1.0])
+    pts = vb.PointSet(np.linspace(0, 5, 12)[:, None])
+    assert vb.pd_check(k, pts, tol=1e-8).verdict == "fail"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("krige", "--tol", "1e-3"), ("grid", "--seed", "1"),
+    ("validate", "--seed", "1"), ("catalog", "--tol", "1e-3"),
+    ("construct", "--seed", "1")])
+def test_flags_exist_only_where_they_are_read(capsys, tmp_path, command, flag, value):
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0]], [1.0, 2.0])
+    argv = {"catalog": [], "construct": ["--model", "{}"],
+            "validate": ["--model", EXP_COV],
+            "grid": ["--model", EXP_COV, "--grid", "0:1:2"],
+            "krige": ["--model", EXP_COV, "--points", sites, "--grid", "0:1:2"]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv[command], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_validate_with_no_checks_passes(capsys):
+    code, out, _ = run(capsys, "validate", "--model", CUBIC, "--checks", ",")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass" and payload["reports"] == []

@@ -373,3 +373,35 @@ def test_squared_norm_constructors_certify_exactly_the_bf_tag():
         assert m.mode == "squared_norm"
         assert m.certified == ("BF" in vb.infer_class(m.profile)), m.construction
     assert {m.certified for m in models} == {True, False}
+
+
+# ----------------------------------------------------------------------
+# the sill is C(0), computed from the profile
+
+def test_sill_is_the_profile_at_radius_zero():
+    for name, c, d in covariance_catalog():
+        assert c.sill == float(c.norm_profile(0.0)) == float(c(np.zeros((1, d)))[0]), name
+    c = vb.covariance_from_variogram(vb.spherical(1.0, d=2), sill=2.5)
+    assert c.sill == 2.5
+
+
+def test_sill_is_not_a_constructor_argument():
+    c = vb.exponential_covariance(1.0, d=2)
+    with pytest.raises(TypeError, match="sill"):
+        vb.StationaryCovariance(profile=c.profile, mode=c.mode, anisotropy=None,
+                                d=2, sill=2.0)
+
+
+def test_model_json_ignores_and_omits_the_sill():
+    c = vb.exponential_covariance(1.0, d=2)
+    j = vb.model_to_json(c)
+    assert "sill" not in j
+    rng = np.random.default_rng(3)
+    pts = vb.PointSet(rng.uniform(0, 3, (12, 2)), rng.normal(size=12))
+    targets = rng.uniform(0, 3, (5, 2))
+    variances = []
+    for sill in (5.0, 1.0):
+        back = vb.model_from_json({**j, "sill": sill})
+        assert back.sill == 1.0 and back.certified
+        variances.append([r.variance for r in vb.krige_many(back, pts, targets)])
+    assert variances[0] == variances[1]
