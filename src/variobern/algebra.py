@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .atoms import ALIASES, CBF_TABLE, COMPLEX_ATOMS, REGISTRY, atom_tags, validate_params
+from .atoms import ALIASES, CBF_TABLE, COMPLEX_ATOMS, REGISTRY, _number, validate_params
 from .errors import (
     ConstructionError,
     EvaluationError,
@@ -111,8 +111,7 @@ class FunctionExpr:
         # included, so no caller can set it; tags absorb it
         if self.kind == "spectral":
             _check_spectral_carrier(self.children[0])
-        derived = _complete(_derive(self.kind, self.name, self.alpha,
-                                    self.children, self.params))
+        derived = _complete(_derive(self))
         object.__setattr__(self, "derived", derived)
         object.__setattr__(self, "tags", _complete(set(self.tags) | derived))
 
@@ -156,88 +155,52 @@ def _complete(tags: Iterable[str]) -> frozenset:
     return frozenset(t)
 
 
-def _derive(kind: str, name: str, alpha, children, params=()) -> frozenset:
-    child_tags = [c.derived for c in children]
-    if kind == "atom":
-        spec = REGISTRY[name]
-        return atom_tags(spec, validate_params(spec, dict(params)))
-    if kind == "affine":
-        # conic combination with a nonnegative constant stays in each cone
-        p = dict(params)
-        if p.get("shift", 0.0) >= 0.0 and p.get("scale", 1.0) >= 0.0:
-            return frozenset(child_tags[0])
-        return frozenset()
-    if kind == "sum":
-        # all four cones are closed under addition
-        t = set(child_tags[0])
-        for ct in child_tags[1:]:
-            t &= ct
-        return frozenset(t)
-    if kind == "product":
-        # only complete monotonicity survives products in general
-        if all("CM" in ct for ct in child_tags):
-            return frozenset({"CM"})
-        return frozenset()
-    if kind == "compose":
-        f, g = child_tags
-        t = set()
-        if "BF" in g:
-            if "CM" in f:
-                t.add("CM")
-            if "BF" in f:
-                t.add("BF")
-        # same-cone pairs compose into CBF; mixed CBF/S pairs land in S
-        # (chain the dualities: CBF o S = 1/((1/f) o g) with (1/f) o g in CBF)
-        if ("CBF" in f and "CBF" in g) or ("S" in f and "S" in g):
-            t.add("CBF")
-        if ("S" in f and "CBF" in g) or ("CBF" in f and "S" in g):
-            t.add("S")
-        return frozenset(t)
-    if kind == "power":
-        (f,) = child_tags
-        a = alpha
-        if a == 1.0:
-            return frozenset(f)
-        t = set()
-        if 0.0 < a <= 1.0:
-            if "CBF" in f:
-                t.add("CBF")
-            if "BF" in f:
-                t.add("BF")
-            if "S" in f:
-                t.add("S")
-        elif a == -1.0:
-            if "CBF" in f:
-                t.add("S")
-            if "S" in f:
-                t.add("CBF")
-        return frozenset(t)
-    if kind == "combine":
-        f, g = child_tags
-        if "CBF" in f and "CBF" in g:
-            return frozenset({"CBF"})
-        # Schur product theorem with exponent sum 1: f(x^a) g(x^(1-a))
-        if name == "split_power" and "BF" in f and "BF" in g:
-            return frozenset({"BF"})
-        return frozenset()
-    if kind == "uchiyama":
-        if all("CBF" in ct for ct in child_tags):
-            return frozenset({"CBF"})
-        return frozenset()
-    if kind == "dualize":
-        (f,) = child_tags
-        t = set()
-        if name == "x_over_f" and "CBF" in f:
-            t.add("CBF")
-        elif name == "f_over_x" and "CBF" in f:
-            t.add("S")
-        elif name == "reciprocal":
-            if "CBF" in f:
-                t.add("S")
-            if "S" in f:
-                t.add("CBF")
-        return frozenset(t)
-    return frozenset()
+# The closure theorems of the four cones (the source paper, arXiv 0812.2936;
+# Schilling, Song and Vondracek, "Bernstein Functions"), one row each:
+# (node kind, condition on the node or None, cone each child must carry or
+# one cone per child, cone proved). A node derives what its matching rows prove.
+_THEOREMS = (
+    # each cone is a convex cone that holds the nonnegative constants
+    *(("affine", lambda e: all(v >= 0.0 for _, v in e.params), c, c) for c in CONES),
+    *(("sum", None, c, c) for c in CONES),
+    ("product", None, "CM", "CM"),
+    # CM o BF is CM (Bochner subordination), and BF o BF is BF
+    ("compose", None, ("CM", "BF"), "CM"),
+    ("compose", None, ("BF", "BF"), "BF"),
+    # CBF o CBF is CBF; the rest follow from it by f in S iff 1/f in CBF
+    ("compose", None, ("CBF", "CBF"), "CBF"),
+    ("compose", None, ("S", "S"), "CBF"),
+    ("compose", None, ("S", "CBF"), "S"),
+    ("compose", None, ("CBF", "S"), "S"),
+    # f^a stays in BF, CBF and S for a in (0, 1]; f^1 is f; f^-1 swaps CBF and S
+    ("power", lambda e: e.alpha == 1.0, "CM", "CM"),
+    *(("power", lambda e: 0.0 < e.alpha <= 1.0, c, c) for c in ("BF", "CBF", "S")),
+    ("power", lambda e: e.alpha == -1.0, "CBF", "S"),
+    ("power", lambda e: e.alpha == -1.0, "S", "CBF"),
+    # the four combine rules map CBF pairs to CBF; the Schur product theorem
+    # with exponent sum 1 covers f(x^a) g(x^(1-a)) for BF pairs
+    ("combine", None, "CBF", "CBF"),
+    ("combine", lambda e: e.name == "split_power", "BF", "BF"),
+    ("uchiyama", None, "CBF", "CBF"),
+    # f is CBF iff x/f(x) is CBF iff f(x)/x and 1/f(x) are S
+    ("dualize", lambda e: e.name == "x_over_f", "CBF", "CBF"),
+    ("dualize", lambda e: e.name == "f_over_x", "CBF", "S"),
+    ("dualize", lambda e: e.name == "reciprocal", "CBF", "S"),
+    ("dualize", lambda e: e.name == "reciprocal", "S", "CBF"),
+)
+
+
+def _derive(e: FunctionExpr) -> frozenset:
+    """The cones the catalog (atoms) or the _THEOREMS rows prove for e."""
+    if e.kind == "atom":
+        spec = REGISTRY[e.name]
+        return frozenset(spec.tags(validate_params(spec, e.params_dict)))
+    return frozenset(
+        proved for kind, holds, premise, proved in _THEOREMS
+        if kind == e.kind and (holds is None or holds(e)) and all(
+            cone in c.derived for cone, c in zip(
+                (premise,) * len(e.children) if isinstance(premise, str) else premise,
+                e.children)))
 
 
 def _node(kind, name="", params=(), children=(), alpha=None,
@@ -651,6 +614,11 @@ def _spectral_value(f: FunctionExpr, hdist: float) -> float:
     w = abs(hdist)
     if w == 0.0:
         return 0.0
+    if w == math.inf:
+        # Riemann-Lebesgue: the cosine term vanishes, leaving mu's mass m(0+)
+        if drift > 0.0:
+            return math.inf
+        return 0.0 if dens is None else float(_ev(f.levy.density, np.zeros(1))[0])
     total = drift * w * w
     if dens is None:
         return total
@@ -712,10 +680,11 @@ def expr_to_json(e: FunctionExpr) -> dict:
     return d
 
 
-def _field(d: dict, key: str):
-    if key not in d:
+def _field(d: dict, key: str, default=None) -> float:
+    """The number d[key]; a field without a default is required."""
+    if default is None and key not in d:
         raise ParameterError(f"op '{d['op']}' needs '{key}'")
-    return d[key]
+    return _number(d.get(key, default), f"op '{d['op']}' field '{key}'")
 
 
 # op -> (number of arguments, None if any; builder from (args, op JSON))
@@ -724,12 +693,12 @@ _OPS = {
     "product": (None, lambda a, d: fprod(*a)),
     "compose": (2, lambda a, d: compose(*a)),
     "power": (1, lambda a, d: fpow(a[0], _field(d, "alpha"))),
-    "combine": (2, lambda a, d: combine(*a, d.get("rule", ""), d.get("alpha", math.nan))),
+    "combine": (2, lambda a, d: combine(*a, d.get("rule", ""), _field(d, "alpha", math.nan))),
     "dualize": (1, lambda a, d: dualize(a[0], d.get("rule", ""))),
     "uchiyama": (3, lambda a, d: uchiyama(*a)),
     "spectral": (1, lambda a, d: spectral_node(a[0])),
-    "affine": (1, lambda a, d: affine(a[0], shift=d.get("shift", 0.0),
-                                      scale=d.get("scale", 1.0))),
+    "affine": (1, lambda a, d: affine(a[0], shift=_field(d, "shift", 0.0),
+                                      scale=_field(d, "scale", 1.0))),
 }
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "CBF_TABLE",
     "COMPLEX_ATOMS",
     "validate_params",
-    "atom_tags",
 ]
 
 
@@ -83,6 +82,14 @@ class AtomSpec:
     norm_model: Callable | None = None
 
 
+def _number(value, what: str, kind: Callable = float):
+    """kind(value) for a value read from outside input, or ParameterError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"malformed {what} = {value!r}: {exc}") from None
+
+
 def validate_params(spec: AtomSpec, params: dict) -> dict:
     expected = {p.name for p in spec.params}
     given = set(params)
@@ -93,14 +100,10 @@ def validate_params(spec: AtomSpec, params: dict) -> dict:
         )
     out = {}
     for p in spec.params:
-        v = float(params[p.name])
+        v = _number(params[p.name], f"atom '{spec.name}' parameter '{p.name}'")
         p.check(spec.name, v)
         out[p.name] = v
     return out
-
-
-def atom_tags(spec: AtomSpec, params: dict) -> frozenset:
-    return frozenset(spec.tags(params))
 
 
 # ----------------------------------------------------------------------

@@ -322,17 +322,19 @@ def _as_grid(grid, check: str, tol: float, nonnegative: bool = False,
 
 
 def _divided_difference_records(prefix: str, values: np.ndarray, grid: np.ndarray,
-                                max_order: int, tol: float) -> list[CheckRecord]:
+                                max_order: int, tol: float,
+                                roundoff=None) -> list[CheckRecord]:
     """Records asserting (-1)^k * (k-th divided difference) >= 0, k <= max_order.
 
     Divided differences of high order are ill conditioned where the grid is
-    dense, so a first-order bound on the propagated input roundoff is carried
-    through the recursion and added to the allowance: a sign violation only
-    counts where it exceeds what roundoff alone could produce.
+    dense, so a first-order bound on the propagated input roundoff (default
+    eps * |values|) is carried through the recursion and added to the
+    allowance: a sign violation only counts where it exceeds what roundoff
+    alone could produce.
     """
     records = []
     dd = values.astype(float)
-    err = _EPS * np.abs(dd) + 1e-300
+    err = (_EPS * np.abs(dd) if roundoff is None else roundoff) + 1e-300
     for k in range(max_order + 1):
         if k > 0:
             denom = grid[k:] - grid[:-k]
@@ -382,9 +384,11 @@ def bernstein_check(f, grid, max_order: int = 6, tol: float = 1e-9) -> Permissib
     def verdicts(vals):
         quot = np.diff(vals) / np.diff(g)
         mid = 0.5 * (g[1:] + g[:-1])
+        # a quotient inherits the rounding of both values, amplified by 1/dx
+        roundoff = _EPS * (np.abs(vals[1:]) + np.abs(vals[:-1])) / np.diff(g)
         return [_nonnegative(g, vals, max(1e-300, float(np.abs(vals).max())), tol),
                 *_divided_difference_records("derivative_cm_", quot, mid,
-                                             max_order - 1, tol)]
+                                             max_order - 1, tol, roundoff)]
 
     return _report(config, "bernstein", lambda: _finite(f, g), verdicts)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import checks, kernels, kriging, models
-from .atoms import CBF_TABLE, REGISTRY, validate_params
+from .atoms import CBF_TABLE, REGISTRY, _number, validate_params
 from .errors import VarioBernError
 from .points import PointSet, read_points_csv
 
@@ -219,6 +219,10 @@ def cmd_validate(args) -> int:
 # ----------------------------------------------------------------------
 # construct
 
+def _arg(d: dict, key: str, default, kind=float):
+    return _number(d.get(key, default), f"recipe arg '{key}'", kind)
+
+
 def _expr_arg(d, key: str) -> alg.FunctionExpr:
     if key not in d:
         raise VarioBernError(f"recipe args are missing '{key}'")
@@ -229,7 +233,8 @@ def _shift_kernel_recipe(ctor: str, args: dict) -> dict:
     if "base" not in args or "eta" not in args:
         raise VarioBernError(f"{ctor} recipe needs 'base' and 'eta'")
     base = models.model_from_json(args["base"])
-    eta = np.asarray(args["eta"], dtype=float).reshape(base.d)
+    eta = _number(args["eta"], "recipe arg 'eta'",
+                  lambda v: np.asarray(v, dtype=float).reshape(base.d))
     # construct to surface any gate errors, then describe
     getattr(kernels, ctor)(base, eta)
     return {
@@ -245,28 +250,28 @@ def _shift_kernel_recipe(ctor: str, args: dict) -> dict:
 # radial model, except the shift kernels, which return a payload dict
 _RECIPES = {
     "ma_product": lambda a: models.ma_product(
-        float(a.get("a1", 1.0)), float(a.get("a2", 1.0)),
-        d=int(a.get("d", 1)), A=a.get("A")),
+        _arg(a, "a1", 1.0), _arg(a, "a2", 1.0),
+        d=_arg(a, "d", 1, int), A=a.get("A")),
     "schur_product_extended": lambda a: models.schur_product_extended(
         _expr_arg(a, "g1"), _expr_arg(a, "g2"),
-        float(a.get("alpha", 0.5)), float(a.get("beta", 0.5)),
-        d=int(a.get("d", 1)), A=a.get("A")),
+        _arg(a, "alpha", 0.5), _arg(a, "beta", 0.5),
+        d=_arg(a, "d", 1, int), A=a.get("A")),
     "cbf_variograms": lambda a: models.cbf_variograms(
         _expr_arg(a, "g"), str(a.get("which", "ratio")),
-        d=int(a.get("d", 1)), A=a.get("A")),
+        d=_arg(a, "d", 1, int), A=a.get("A")),
     "composition_products": lambda a: models.composition_products(
         _expr_arg(a, "g1"), _expr_arg(a, "g2"),
         alg.expr_from_json(a["g3"]) if "g3" in a else None,
         which=str(a.get("which", "two_factor")),
-        d=int(a.get("d", 1)), A=a.get("A")),
+        d=_arg(a, "d", 1, int), A=a.get("A")),
     "difference_kernel": lambda a: _shift_kernel_recipe("difference_kernel", a),
     "sum_kernel": lambda a: _shift_kernel_recipe("sum_kernel", a),
     "spectral_variogram": lambda a: kernels.spectral_variogram(_expr_arg(a, "f")),
     "wendland": lambda a: models.wendland(
-        float(a.get("r", 1.0)), int(a.get("l", 1)), int(a.get("d", 1)),
+        _arg(a, "r", 1.0), _arg(a, "l", 1, int), _arg(a, "d", 1, int),
         A=a.get("A")),
     "spherical": lambda a: models.spherical(
-        float(a.get("range", 1.0)), int(a.get("d", 1)), A=a.get("A")),
+        _arg(a, "range", 1.0), _arg(a, "d", 1, int), A=a.get("A")),
 }
 
 
@@ -348,8 +353,10 @@ def cmd_simulate(args) -> int:
     sites = PointSet(pts.coords)  # values, if present, are ignored
     spec = kriging.SimulationSpec(model=model, sites=sites, seed=args.seed,
                                   n_replicates=args.replicates)
+    bins = _number(args.grid, "simulate --grid bin count", int) if args.grid else 10
+    if bins < 1:
+        raise VarioBernError(f"simulate --grid needs a bin count >= 1, got {bins}")
     reps, info = kriging.simulate_field(spec, tol=args.tol)
-    bins = int(args.grid) if args.grid else 10
     rows = kriging.empirical_variogram(reps, sites, bins)
     config = {"command": "simulate", "model": models.model_to_json(model),
               "points": args.points, "seed": args.seed,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import FunctionExpr, evaluate
-from .atoms import REGISTRY
+from .atoms import REGISTRY, _number
 from .errors import ConstructionError, EvaluationError, ParameterError
 
 __all__ = [
@@ -57,9 +57,12 @@ _BEYOND_SUPPORT = np.array([1.0, 1.001, 1.5, 2.0, 10.0, 1e3])
 
 def _inexact_at_endpoints(g: FunctionExpr) -> bool:
     """Whether evaluate(g, 0 or inf) may substitute a finite point for the
-    endpoint (x/f(x), f(x)/x, uchiyama) or run quadrature (spectral)."""
-    if g.kind in ("uchiyama", "spectral") or (
-            g.kind == "dualize" and g.name != "reciprocal"):
+    endpoint (x/f(x), f(x)/x, uchiyama); a spectral node's limits are 0 and
+    its carrier's Levy density at 0, so it is as exact as that density."""
+    if g.kind == "spectral":
+        density = g.children[0].levy.density
+        return density is not None and _inexact_at_endpoints(density)
+    if g.kind == "uchiyama" or (g.kind == "dualize" and g.name != "reciprocal"):
         return True
     return any(_inexact_at_endpoints(c) for c in g.children)
 
@@ -120,8 +123,8 @@ class _RadialModel:
         if self.d < 1:
             raise ParameterError("dimension must be >= 1")
         d = self.d
-        a = np.array(np.eye(d) if self.anisotropy is None else self.anisotropy,
-                     dtype=float)
+        a = _number(np.eye(d) if self.anisotropy is None else self.anisotropy,
+                    "anisotropy", lambda v: np.array(v, dtype=float))
         if a.shape != (d, d):
             raise ParameterError(f"anisotropy must be {d}x{d}, got {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -414,13 +417,13 @@ def model_from_json(d: dict):
         if key not in d:
             raise ParameterError(f"model JSON is missing the '{key}' field")
     profile = alg.expr_from_json(d["profile"])
-    dim = int(d["d"])
+    dim = _number(d["d"], "model dimension 'd'", int)
     kind = d.get("type", "variogram")
     if kind == "covariance":
         sr = d.get("support_radius")
         return StationaryCovariance(
             profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
-            support_radius=math.inf if sr is None else float(sr),
+            support_radius=math.inf if sr is None else _number(sr, "support_radius"),
             construction=d.get("construction", ""),
         )
     if kind != "variogram":

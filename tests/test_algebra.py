@@ -503,3 +503,53 @@ def test_complex_atoms_are_exactly_the_continued_ones():
         else:
             with pytest.raises(EvaluationError, match="complex continuation"):
                 vb.evaluate_complex(f, z)
+
+
+# ----------------------------------------------------------------------
+# numerical audit of the closure theorems
+
+# one atom per premise cone, carrying exactly that cone and its completion
+PREMISE_ATOMS = {
+    "CM": lambda: vb.catalog("exp_decay", {"a": 1.0}),
+    "BF": lambda: vb.catalog("exp_one_minus", {"a": 1.0}),
+    "CBF": lambda: vb.catalog("log1p"),
+    "S": lambda: vb.catalog("recip"),
+}
+
+# node kind -> (number of children, builders of that kind from the children)
+NODE_BUILDERS = {
+    "affine": (1, [lambda f: vb.affine(f, shift=s, scale=k)
+                   for s, k in ((0.0, 1.0), (1.0, 2.0), (0.5, 0.0))]),
+    "sum": (2, [vb.fsum]),
+    "product": (2, [vb.fprod]),
+    "compose": (2, [vb.compose]),
+    "power": (1, [lambda f, a=a: vb.fpow(f, a) for a in (1.0, 0.5, -1.0, -0.5, 1.5)]),
+    "combine": (2, [lambda f, g, r=r, a=a: vb.combine(f, g, r, a)
+                    for r in ("power_mean", "arg_power_mean")
+                    for a in (-1.0, -0.5, 0.5, 1.0)]
+                + [lambda f, g, r=r, a=a: vb.combine(f, g, r, a)
+                   for r in ("split_power", "geometric") for a in (0.0, 0.3, 1.0)]),
+    "uchiyama": (3, [vb.uchiyama]),
+    "dualize": (1, [lambda f, r=r: vb.dualize(f, r)
+                    for r in ("x_over_f", "f_over_x", "reciprocal")]),
+}
+
+
+def test_every_closure_theorem_passes_its_oracle():
+    """Each _THEOREMS row, applied to children that carry exactly its premise,
+    proves a cone that the real-axis oracle confirms."""
+    from variobern.algebra import _THEOREMS
+    grid = np.logspace(-2, 2, 33)
+    for kind, holds, premise, proved in _THEOREMS:
+        arity, builders = NODE_BUILDERS[kind]
+        cones = (premise,) * arity if isinstance(premise, str) else premise
+        children = [PREMISE_ATOMS[c]() for c in cones]
+        nodes = [e for e in (build(*children) for build in builders)
+                 if holds is None or holds(e)]
+        assert nodes, (kind, premise, proved)
+        for e in nodes:
+            assert proved in e.derived, vb.describe(e)
+            f = lambda x: vb.evaluate(e, x)
+            check = vb.cm_check if proved in ("CM", "S") else vb.bernstein_check
+            rep = check(f, grid)
+            assert rep.passed, (vb.describe(e), proved, rep.to_json())

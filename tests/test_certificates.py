@@ -219,6 +219,34 @@ def test_spectral_node_certifies_only_its_own_norm_in_one_dimension():
     assert not bare(vb.Variogram, node, "norm", 2).certified
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_spectral_node_tends_to_its_carrier_density_at_zero(lam):
+    """mu has total mass m(0+) = lam^2 for frac_linear, the variogram's limit."""
+    node = vb.spectral_node(vb.catalog("frac_linear", {"lam": lam}))
+    assert vb.evaluate(node, np.inf) == pytest.approx(lam ** 2, rel=1e-14)
+    assert vb.evaluate(node, 100.0 * lam) == pytest.approx(lam ** 2, rel=2e-4)
+
+
+@pytest.mark.parametrize("carrier", [
+    vb.catalog("power", {"a": 1.0}),  # drift > 0
+    vb.catalog("log1p"),  # m(t) = e^-t / t is unbounded at 0
+])
+def test_unbounded_spectral_node_has_no_finite_limit(carrier):
+    with pytest.raises(vb.EvaluationError, match="non-finite"):
+        vb.evaluate(vb.spectral_node(carrier), np.inf)
+
+
+def test_bounded_spectral_variogram_complement_needs_the_sill_above_the_limit():
+    v = vb.spectral_variogram(vb.catalog("frac_linear", {"lam": 1.0}))
+    c = vb.covariance_from_variogram(v, sill=1.0)
+    assert c.certificate == (
+        "sill - gamma with gamma <= sill a variogram "
+        "[spectral representation of |A xi|: variogram in d = 1]")
+    assert not vb.covariance_from_variogram(v, sill=0.5).certified
+    assert not vb.covariance_from_variogram(
+        vb.spectral_variogram(vb.catalog("log1p")), sill=10.0).certified
+
+
 # ----------------------------------------------------------------------
 # derived tags in the algebra
 

@@ -190,6 +190,23 @@ def test_bernstein_gate():
         vb.bernstein_check(np.sqrt, [1.0, 2.0, 3.0], max_order=2)
 
 
+@pytest.mark.parametrize("profile", [
+    lambda x: 1.0 + x,
+    lambda x: 3.0 * x + 2.0,
+    lambda x: 1.0 / (1.0 / x),
+])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_bernstein_accepts_linear_profiles(profile, tol):
+    """A difference quotient of f carries eps * (|f_i| + |f_i+1|) / dx of
+    roundoff, not eps * |quotient|; a linear profile must not fail on it."""
+    assert vb.bernstein_check(profile, GRID, tol=tol).passed
+
+
+def test_bernstein_still_rejects_a_slightly_convex_profile():
+    rep = vb.bernstein_check(lambda x: x + 1e-6 * x ** 2, GRID)
+    assert rep.record("derivative_cm_order_1").verdict == "fail"  # f' rises
+
+
 # ----------------------------------------------------------------------
 # shape checks
 

@@ -135,6 +135,14 @@ def test_validate_bernstein_check_on_variogram_profile(capsys):
     assert code == 0
 
 
+def test_validate_bernstein_passes_a_certified_affine_profile(capsys):
+    v = vb.make_variogram(vb.affine(vb.catalog("power", {"a": 1.0}), shift=1.0))
+    assert v.certified
+    code, _, _ = run(capsys, "validate", "--model", model_arg(v),
+                     "--checks", "bernstein")
+    assert code == 0
+
+
 def test_validate_eventual_constancy(capsys):
     """The spherical plateau is fine for a d <= 3 certificate; no
     all-dimension contradiction is raised for norm-mode models."""
@@ -451,3 +459,35 @@ def test_validate_with_no_checks_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass" and payload["reports"] == []
+
+
+def _with(model, **fields) -> str:
+    doc = vb.model_to_json(model)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+POWER_HALF = vb.make_variogram(vb.catalog("power", {"a": 0.5}))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", EXP_COV, "--points", "SITES", "--grid", "0:3:7"],
+    ["simulate", "--model", EXP_COV, "--points", "SITES", "--grid", "0"],
+    ["grid", "--model", _with(POWER_HALF, d="two"), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, A="eye"), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": {"a": "x"}}), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "op": "power", "alpha": "x", "args": [{"atom": "log1p", "params": {}}]}),
+     "--grid", "0:1:3"],
+    ["construct", "--model", json.dumps({"constructor": "ma_product",
+                                         "args": {"a1": "x"}})],
+], ids=["simulate_bins", "simulate_zero_bins", "model_d", "model_A",
+        "atom_param", "op_alpha", "recipe_arg"])
+def test_malformed_numbers_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0], [2.0]])
+    code, out, err = run(capsys, *[sites if a == "SITES" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
