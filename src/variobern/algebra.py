@@ -2,8 +2,9 @@
 
 Expressions are immutable trees over catalog atoms. Each node carries the set
 of function-cone memberships ("CM", "BF", "CBF", "S") that its closure rules
-prove (``derived``): atoms carry catalog facts, inner nodes only what a cited
-rule derives from the children's derived sets. Derived tags are sound but not
+prove (``derived``): atoms carry catalog facts, inner nodes only what a row of
+``_THEOREMS`` derives from the children's derived sets. That table is the one
+place the closure theorems are stated. Derived tags are sound but not
 complete - an empty set means "unverified", never "disproved". Tags declared
 through with_tags or loaded from JSON join ``tags`` for display, but no proof
 reads them.
@@ -195,12 +196,13 @@ def _derive(e: FunctionExpr) -> frozenset:
     if e.kind == "atom":
         spec = REGISTRY[e.name]
         return frozenset(spec.tags(validate_params(spec, e.params_dict)))
-    return frozenset(
-        proved for kind, holds, premise, proved in _THEOREMS
+    proved = set()
+    for kind, holds, premise, cone in _THEOREMS:
+        premises = (premise,) * len(e.children) if isinstance(premise, str) else premise
         if kind == e.kind and (holds is None or holds(e)) and all(
-            cone in c.derived for cone, c in zip(
-                (premise,) * len(e.children) if isinstance(premise, str) else premise,
-                e.children)))
+                p in c.derived for p, c in zip(premises, e.children)):
+            proved.add(cone)
+    return frozenset(proved)
 
 
 def _node(kind, name="", params=(), children=(), alpha=None,
