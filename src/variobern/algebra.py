@@ -709,19 +709,32 @@ def expr_from_json(d: dict) -> FunctionExpr:
     if not isinstance(d, dict):
         raise ParameterError(f"expression JSON must be an object, got {type(d).__name__}")
     if "atom" in d:
-        e = catalog(d["atom"], dict(d.get("params", {})))
+        if not isinstance(d["atom"], str):
+            raise ParameterError(f"expression 'atom' must be a name, got {d['atom']!r}")
+        e = catalog(d["atom"], _json_field(d, "params", dict, {}, "an object"))
     elif "op" in d:
         op = d["op"]
         if not isinstance(op, str) or op not in _OPS:
             raise ParameterError(
                 f"unknown expression op '{op}'; expected one of {', '.join(_OPS)}")
         arity, build = _OPS[op]
-        args = [expr_from_json(a) for a in d.get("args", [])]
+        args = [expr_from_json(a) for a in _json_field(d, "args", list, [], "a list")]
         if arity is not None and len(args) != arity:
             raise ParameterError(f"{op} takes exactly {arity} argument(s), got {len(args)}")
         e = build(args, d)
     else:
         raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
     if "tags" in d:
-        e = with_tags(e, d["tags"])
+        tags = d["tags"]
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ParameterError(f"expression 'tags' must be a list of cone names, got {tags!r}")
+        e = with_tags(e, tags)
     return e
+
+
+def _json_field(d: dict, key: str, kind: type, default, what: str):
+    """d[key] (or default) if it is a kind, else ParameterError naming what."""
+    v = d.get(key, default)
+    if not isinstance(v, kind):
+        raise ParameterError(f"expression '{key}' must be {what}, got {v!r}")
+    return v

@@ -83,11 +83,17 @@ class AtomSpec:
 
 
 def _number(value, what: str, kind: Callable = float):
-    """kind(value) for a value read from outside input, or ParameterError."""
+    """kind(value) for a value read from outside input, or ParameterError.
+
+    An int is never truncated: 2.0 and "2" read as 2, 2.5 is rejected.
+    """
     try:
-        return kind(value)
+        v = kind(value)
+        if kind is int and v != float(value):
+            raise ValueError("not an integer")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed {what} = {value!r}: {exc}") from None
+    return v
 
 
 def validate_params(spec: AtomSpec, params: dict) -> dict:

@@ -32,6 +32,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
+from .checks import kernel_matrix
 from .errors import DegenerateSystemError, ParameterError
 from .models import StationaryCovariance, Variogram
 from .points import PointSet
@@ -98,12 +99,15 @@ def _require_sparse_support(model) -> float:
 def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
     """Matrix K[i,j] = model(x_i - x_j), dense ndarray or sparse CSC.
 
+    The dense matrix is checks.kernel_matrix, the assembly the oracles use:
+    a radial model is evaluated once per site pair, any other callable on
+    the full lag tensor, and a non-finite entry raises VarioBernError.
     Sparse storage keeps only nonzero covariance entries; neighbor pairs are
     found on the anisotropy-transformed coordinates, so truncation matches
     the model's own radial argument exactly.
     """
     if mode == "dense":
-        return np.asarray(model(pts.lags()), dtype=float)
+        return kernel_matrix(model, pts)
     if mode != "sparse":
         raise ParameterError("mode must be dense | sparse")
     radius = _require_sparse_support(model)
@@ -202,8 +206,9 @@ def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
 
     Returns (replicates, info): replicates has shape (n_replicates, n sites);
     info records the diagonal shift used to repair tolerance-level negative
-    eigenvalues. A Gram matrix indefinite beyond tolerance is an error, not
-    repaired silently.
+    eigenvalues, the smallest eigenvalue of the Gram matrix and the
+    condition number of the shifted one (inf when it is singular). A Gram
+    matrix indefinite beyond tolerance is an error, not repaired silently.
     """
     gram = build_gamma_matrix(spec.model, spec.sites, "dense")
     gram = 0.5 * (gram + gram.T)
@@ -222,8 +227,11 @@ def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
     for i in range(spec.n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
         out[i] = factor @ rng.standard_normal(n)
+    # (w[-1] + shift) / (w[0] + shift): a shift makes the denominator 0
+    cond = float(w[-1]) / lam_min if lam_min > 0.0 else math.inf
     return out, {"diag_shift": shift, "seed": spec.seed,
-                 "n_replicates": spec.n_replicates}
+                 "n_replicates": spec.n_replicates, "min_eigenvalue": lam_min,
+                 "cond": cond}
 
 
 def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):

@@ -6,6 +6,7 @@ so the checks cannot drift away from what they claim to certify.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -566,3 +567,86 @@ def test_contrast_block_is_the_dense_basis_projection(n):
     block = _contrast_block(s)
     assert np.array_equal(block, block.T)
     assert np.abs(block - b.T @ s @ b).max() <= 1e-13
+
+
+# ----------------------------------------------------------------------
+# radial models: one evaluation per site pair
+
+_A2 = [[1.0, 0.3], [-0.2, 2.0]]
+_A3 = [[1.0, 0.3, 0.1], [0.0, 2.0, -0.4], [0.5, 0.0, 0.7]]
+RADIAL_MODELS = {
+    "log1p_d1": lambda: vb.make_variogram(vb.catalog("log1p"), d=1),
+    "ma_d2": lambda: vb.ma_product(1.0, 2.0, d=2),
+    "ma_aniso_d2": lambda: vb.ma_product(1.0, 2.0, A=_A2, d=2),
+    "log1p_aniso_d2": lambda: vb.make_variogram(vb.catalog("log1p"), A=_A2, d=2),
+    "log1p_aniso_d3": lambda: vb.make_variogram(vb.catalog("log1p"), A=_A3, d=3),
+    "spherical_d3": lambda: vb.spherical(1.2, 3),
+    "wendland_aniso_d2": lambda: vb.wendland(0.8, 2, 2, A=_A2),
+    "wendland_aniso_d3": lambda: vb.wendland(1.5, 3, 3, A=_A3),
+    "exponential_aniso_d2": lambda: vb.exponential_covariance(1.5, d=2, A=_A2),
+    "spectral_d1": lambda: vb.spectral_variogram(vb.catalog("log1p")),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+@pytest.mark.parametrize("name", sorted(RADIAL_MODELS))
+def test_radial_kernel_matrix_is_the_lag_tensor_evaluation(name, n):
+    """The upper-triangle assembly is bitwise model(pts.lags())."""
+    model = RADIAL_MODELS[name]()
+    rng = np.random.default_rng(n)
+    pts = vb.PointSet(rng.uniform(-2.0, 2.0, size=(n, model.d)))
+    assert np.array_equal(vb.kernel_matrix(model, pts), model(pts.lags()))
+
+
+@pytest.mark.parametrize("block", [1, 5, 9, 100])
+def test_radial_kernel_matrix_blocks_split_anywhere(monkeypatch, block):
+    """Blocks shorter than a row, ending inside the next row, or holding
+    the whole triangle give the same matrix."""
+    from variobern import checks
+    monkeypatch.setattr(checks, "_PAIR_BLOCK", block)
+    model = RADIAL_MODELS["ma_aniso_d2"]()
+    pts = vb.PointSet(np.random.default_rng(7).uniform(0.0, 3.0, size=(8, 2)))
+    assert np.array_equal(vb.kernel_matrix(model, pts), model(pts.lags()))
+
+
+def test_radial_kernel_matrix_over_several_full_blocks():
+    """n = 400 has 79,800 pairs: two blocks of the module constant, the
+    first one ending inside a row."""
+    model = RADIAL_MODELS["log1p_aniso_d2"]()
+    pts = vb.PointSet(np.random.default_rng(400).uniform(0.0, 1.0, size=(400, 2)))
+    assert np.array_equal(vb.kernel_matrix(model, pts), model(pts.lags()))
+
+
+def test_radial_kernel_matrix_evaluates_each_pair_once():
+    calls = []
+
+    class Counted(vb.Variogram):
+        def __call__(self, lags):
+            calls.append(np.shape(lags))
+            return super().__call__(lags)
+
+    model = Counted(profile=vb.catalog("log1p"), mode="squared_norm",
+                    anisotropy=None, d=2)
+    pts = vb.PointSet(np.random.default_rng(1).uniform(size=(30, 2)))
+    vb.kernel_matrix(model, pts)
+    assert calls == [(1, 2), (30 * 29 // 2, 2)]
+
+
+def test_radial_kernel_matrix_needs_no_lag_tensor():
+    """At n = 1024, d = 2 the (n, n, d) lag tensor alone is 16.8 MB and the
+    full-tensor evaluation peaks at about 95 MB."""
+    model = vb.ma_product(1.0, 2.0, d=2)
+    pts = vb.PointSet(np.random.default_rng(2).uniform(size=(1024, 2)))
+    tracemalloc.start()
+    try:
+        vb.kernel_matrix(model, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
+def test_radial_kernel_matrix_rejects_sites_of_another_dimension():
+    model = RADIAL_MODELS["ma_d2"]()
+    with pytest.raises(ParameterError, match="trailing dimension 2"):
+        vb.kernel_matrix(model, vb.PointSet(np.zeros((4, 3))))

@@ -491,3 +491,39 @@ def test_malformed_numbers_exit_2_with_one_error_line(capsys, tmp_path, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--model", _with(POWER_HALF, d=2.5, A=np.eye(2).tolist()),
+     "--grid", "0:1:3,0:1:3"],
+    ["construct", "--model", json.dumps({"constructor": "wendland",
+                                         "args": {"r": 1, "l": 2.5, "d": 1}})],
+    ["construct", "--model", json.dumps({"constructor": "ma_product",
+                                         "args": {"d": 1.5}})],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": {"a": 0.5}, "tags": 5}), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": {"a": 0.5}, "tags": ["x", 5]}), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": "x"}), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": ["power"], "params": {"a": 0.5}}), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={"op": "sum", "args": 5}),
+     "--grid", "0:1:3"],
+], ids=["model_d_fraction", "recipe_l_fraction", "recipe_d_fraction",
+        "tags_number", "tags_member", "params_string", "atom_list", "args_number"])
+def test_malformed_integers_and_expression_json_exit_2(capsys, tmp_path, argv):
+    """Integers are never truncated, and expression JSON of the wrong
+    structure is a ParameterError, not a traceback."""
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0], [2.0]])
+    code, out, err = run(capsys, *[sites if a == "SITES" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_integral_floats_still_read_as_integers(capsys):
+    code, out, _ = run(capsys, "grid", "--model", _with(POWER_HALF, d=1.0),
+                       "--grid", "0:1:3")
+    assert code == 0
+    assert '"d": 1' in out.splitlines()[0]

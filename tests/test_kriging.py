@@ -35,6 +35,17 @@ def test_gamma_matrix_dense_values(exp_model):
     assert np.allclose(k, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("model", [
+    vb.ma_product(1.0, 2.0, A=[[1.0, 0.3], [-0.2, 2.0]], d=2),
+    vb.wendland(1.5, 2, d=2),
+], ids=["ma_product", "wendland"])
+def test_gamma_matrix_dense_is_the_oracles_kernel_matrix(model, rng):
+    pts = vb.PointSet(rng.uniform(0, 6, size=(50, 2)))
+    k = vb.build_gamma_matrix(model, pts, "dense")
+    assert np.array_equal(k, vb.kernel_matrix(model, pts))
+    assert np.array_equal(k, model(pts.lags()))
+
+
 def test_gamma_matrix_sparse_matches_dense(wendland_model, rng):
     coords = rng.uniform(0, 6, size=(40, 2))
     pts = vb.PointSet(coords)
@@ -173,6 +184,33 @@ def test_simulate_marginal_variance(exp_model):
     z, _ = vb.simulate_field(vb.SimulationSpec(exp_model, pts, 99, 4000))
     v = z.var(axis=0)
     assert np.abs(v - 1.0).max() < 0.1
+
+
+@pytest.mark.parametrize("model", [
+    vb.exponential_covariance(1.0, d=1),
+    vb.matern_covariance(1.0, 1.5, d=1),
+], ids=["exponential", "matern"])
+def test_simulate_reports_the_gram_conditioning(model):
+    pts = vb.PointSet(np.linspace(0, 4, 9)[:, None])
+    _, info = vb.simulate_field(vb.SimulationSpec(model, pts, 5, 3))
+    w = np.linalg.eigvalsh(model(pts.lags()))
+    assert w[0] > 0.0 and info["diag_shift"] == 0.0
+    assert info["min_eigenvalue"] == pytest.approx(w[0], rel=1e-9)
+    assert info["cond"] == pytest.approx(w[-1] / w[0], rel=1e-9)
+
+
+def test_simulate_cond_is_infinite_where_the_shifted_gram_is_singular():
+    """Two equal sites: the smallest eigenvalue is zero up to roundoff."""
+    pts = vb.PointSet(np.array([[0.0], [0.0], [1.0]]))
+    model = vb.exponential_covariance(1.0, d=1)
+    _, info = vb.simulate_field(vb.SimulationSpec(model, pts, 0, 2))
+    w = np.linalg.eigvalsh(model(pts.lags()))
+    assert abs(info["min_eigenvalue"]) <= 1e-14 * w[-1]
+    assert info["diag_shift"] == max(0.0, -info["min_eigenvalue"])
+    if info["min_eigenvalue"] <= 0.0:
+        assert info["cond"] == math.inf
+    else:
+        assert info["cond"] == pytest.approx(w[-1] / info["min_eigenvalue"], rel=1e-6)
 
 
 def test_simulate_rejects_indefinite_model():
