@@ -454,9 +454,13 @@ def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
         return hv * _ev(g, ratio)
     if e.kind == "spectral":
         (f,) = e.children
-        flat = x.ravel()
-        vals = np.array([_spectral_value(f, float(h)) for h in flat])
-        return vals.reshape(x.shape)
+        w = np.abs(x)
+        # the continuation serves the interior lags, _spectral_value the rest
+        cont = _own_catalog_triple(f) & (w != 0.0) & ~np.isinf(w)
+        out = np.empty_like(w)
+        out[~cont] = [_spectral_value(f, float(h)) for h in w[~cont]]
+        out[cont] = -np.real(1j * w[cont] * _ev(f, 1j * w[cont]))
+        return out
     raise EvaluationError(f"unknown expression kind '{e.kind}'")
 
 
@@ -511,7 +515,9 @@ def levy_eval(triple: LevyTriple, x):
     for t, m in triple.atoms:
         out += -m * np.expm1(-pts * t)
     if triple.density is not None:
-        _check_levy_integrability(triple.density)
+        if not _levy_moment_finite(triple.density):
+            raise ParameterError("Levy density fails the integrability requirement "
+                                 "integral min(2t, 1) m(t) dt < inf")
         out += np.array([_levy_integral(triple.density, float(v)) for v in pts])
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
@@ -544,12 +550,17 @@ def _integral(pieces, gate: float, error: type, message: str) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _check_levy_integrability(density: FunctionExpr) -> None:
-    f = lambda t: t / (1.0 + t) * evaluate(density, t)
+def _levy_moment_finite(density: FunctionExpr) -> bool:
+    """Whether quadrature finds integral min(2t, 1) m(t) dt finite: the Levy
+    condition on m, and by Fubini the min(s, s^2) condition on mu."""
+    f = lambda t: min(2.0 * t, 1.0) * evaluate(density, t)
     kw = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
-    _integral([(1, f, 0.0, 1.0, kw), (1, f, 1.0, np.inf, kw)], 1e-4, ParameterError,
-              "Levy density fails the integrability requirement "
-              "integral t/(1+t) m(t) dt < inf")
+    try:
+        _integral([(1, f, 0.0, 0.5, kw), (1, f, 0.5, np.inf, kw)], 1e-4,
+                  QuadratureError, "")
+    except QuadratureError:
+        return False
+    return True
 
 
 def _levy_integral(density: FunctionExpr, x: float) -> float:
@@ -564,16 +575,14 @@ def _levy_integral(density: FunctionExpr, x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# spectral node: gamma(h) = drift*h^2 + integral (1 - cos(s h)) mu(ds),
-# where mu is the measure whose tail function is the Levy density m
+# spectral node: gamma(h) = drift*h^2 + integral (1 - cos(s h)) mu(ds), where
+# mu has tail m(t) = mu[t, inf), the carrier's Levy density; by parts this is
+# drift*h^2 + h integral sin(s h) m(s) ds, and -Re(i h f(i h)) for continued f
 
-@functools.lru_cache(maxsize=64)
 def spectral_measure(f: FunctionExpr):
-    """(drift, density of mu) for a spectral carrier f, density None if absent.
+    """(drift, Levy density m) of a spectral carrier f, m None if absent.
 
-    f must carry a Levy triple whose measure is a density m, not atoms; mu
-    is recovered from m(t) = mu[t, inf) by the atom's closed form where the
-    catalog has one, else by a central difference of m.
+    f must carry a Levy triple whose measure is a density m, not atoms.
     """
     triple = f.levy
     if triple is None:
@@ -585,52 +594,43 @@ def spectral_measure(f: FunctionExpr):
             "spectral construction requires a density representation of the "
             "Levy measure, not atoms"
         )
-    if triple.density is None:
-        return triple.drift, None
-    if f.kind == "atom":
-        hook = REGISTRY[f.name].spectral_mu
-        if hook is not None:
-            return hook(f.params_dict)
-    m = triple.density
-    h = 1e-6
-
-    def dens(s):
-        s = np.asarray(s, dtype=float)
-        return (evaluate(m, s * (1.0 - h)) - evaluate(m, s * (1.0 + h))) / (2.0 * s * h)
-
-    return triple.drift, dens
+    return triple.drift, triple.density
 
 
-def check_mu_integrability(dens) -> None:
-    """Raise QuadratureError unless the jump measure with density dens
-    integrates min(s, s^2), the condition for a finite spectral variogram."""
-    kw = dict(epsabs=1e-9, epsrel=1e-9, limit=200)
-    _integral([(1, lambda s: s * s * dens(s), 0.0, 1.0, kw),
-               (1, lambda s: s * dens(s), 1.0, np.inf, kw)], 1e-3, QuadratureError,
-              "recovered jump measure fails the integral min(s, s^2) mu(ds) check")
+def check_mu_integrability(m: FunctionExpr) -> None:
+    """Raise QuadratureError unless the Levy density m integrates
+    min(2t, 1), the condition for a finite spectral variogram."""
+    if not _levy_moment_finite(m):
+        raise QuadratureError("Levy density fails the spectral check "
+                              "integral min(2t, 1) m(t) dt < inf")
+
+
+@functools.lru_cache(maxsize=64)
+def _own_catalog_triple(f: FunctionExpr) -> bool:
+    """Whether f is a continued catalog atom carrying its catalog triple."""
+    return (f.kind == "atom" and f.name in COMPLEX_ATOMS
+            and f.levy == _build_levy(f.name, f.params_dict))
 
 
 @functools.lru_cache(maxsize=65536)
-def _spectral_value(f: FunctionExpr, hdist: float) -> float:
-    drift, dens = spectral_measure(f)
-    w = abs(hdist)
+def _spectral_value(f: FunctionExpr, w: float) -> float:
+    drift, m = spectral_measure(f)
     if w == 0.0:
         return 0.0
     if w == math.inf:
         # Riemann-Lebesgue: the cosine term vanishes, leaving mu's mass m(0+)
         if drift > 0.0:
             return math.inf
-        return 0.0 if dens is None else float(_ev(f.levy.density, np.zeros(1))[0])
+        return 0.0 if m is None else float(_ev(m, np.zeros(1))[0])
     total = drift * w * w
-    if dens is None:
+    if m is None:
         return total
     knee = 1.0 / w
     kw = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
-    return total + _integral(
-        [(1, lambda s: (1.0 - np.cos(s * w)) * dens(s), 0.0, knee, kw),
-         (1, dens, knee, np.inf, kw),
-         (-1, dens, knee, np.inf, dict(weight="cos", wvar=w, epsabs=1e-11, limit=300))],
-        1e-7, QuadratureError, f"spectral quadrature did not converge at lag {hdist:g}")
+    return total + w * _integral(
+        [(1, lambda s: math.sin(s * w) * evaluate(m, s), 0.0, knee, kw),
+         (1, functools.partial(evaluate, m), knee, np.inf, dict(kw, weight="sin", wvar=w))],
+        1e-7, QuadratureError, f"spectral quadrature did not converge at lag {w:g}")
 
 
 def spectral_node(f: FunctionExpr) -> FunctionExpr:
@@ -638,28 +638,28 @@ def spectral_node(f: FunctionExpr) -> FunctionExpr:
 
     Every spectral node gates its carrier when it is built, so each one is
     a variogram in d = 1: the Levy triple needs a vanishing constant term
-    and a density m (checked decreasing on a log grid) whose jump measure
-    mu, with m(t) = mu[t, inf), integrates min(s, s^2).
+    and a density m, checked decreasing on a log grid, that integrates
+    min(2t, 1).
     """
     return _node("spectral", children=(f,))
 
 
 def _check_spectral_carrier(f: FunctionExpr) -> None:
-    dens = spectral_measure(f)[1]
+    m = spectral_measure(f)[1]
     if f.levy.constant != 0.0:
         raise ConstructionError(
             "spectral construction requires a vanishing constant term"
         )
-    if dens is not None:
+    if m is not None:
         grid = np.logspace(-3, 3, 61)
-        m_vals = evaluate(f.levy.density, grid)
+        m_vals = evaluate(m, grid)
         rises = np.diff(m_vals)
         if rises.max() > 1e-9 * max(1.0, float(np.abs(m_vals).max())):
             i = int(np.argmax(rises))
             raise ParameterError(
                 f"Levy density must be decreasing: m({grid[i]:g}) < m({grid[i + 1]:g})"
             )
-        check_mu_integrability(dens)
+        check_mu_integrability(m)
 
 
 # ----------------------------------------------------------------------

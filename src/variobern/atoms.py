@@ -77,7 +77,6 @@ class AtomSpec:
     inf: Callable  # p -> limit at +inf (nan if none exists)
     tags: Callable = field(default=lambda p: frozenset())
     levy: Callable | None = None  # p -> triple spec dict, or None
-    spectral_mu: Callable | None = None  # p -> (drift, mu density callable) or None
     # p -> (model type, largest d) for which the atom of |A xi| is valid
     norm_model: Callable | None = None
 
@@ -86,8 +85,11 @@ def _number(value, what: str, kind: Callable = float):
     """kind(value) for a value read from outside input, or ParameterError.
 
     An int is never truncated: 2.0 and "2" read as 2, 2.5 is rejected.
+    A bool is not a number, although Python counts it as an int.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         v = kind(value)
         if kind is int and v != float(value):
             raise ValueError("not an integer")
@@ -267,11 +269,6 @@ _register(AtomSpec(
                    "args": [{"atom": "power", "params": {"a": 1.0}}]},
               ]}}
     ),
-    spectral_mu=lambda p: (
-        (1.0, None) if p["a"] == 1.0
-        else (0.0, lambda s, a=p["a"], c=None: (a * (1.0 + a) / sc.gamma(1.0 - a))
-              * s ** (-2.0 - a))
-    ),
 ))
 
 _register(AtomSpec(
@@ -289,7 +286,6 @@ _register(AtomSpec(
                         {"atom": "exp_decay", "params": {"a": 1.0}},
                         {"atom": "recip", "params": {}},
                     ]}},
-    spectral_mu=lambda p: (0.0, lambda s: np.exp(-s) * (1.0 + s) / s**2),
 ))
 
 _register(AtomSpec(
@@ -319,7 +315,6 @@ _register(AtomSpec(
                         {"atom": "const", "params": {"c": p["lam"] ** 2}},
                         {"atom": "exp_decay", "params": {"a": p["lam"]}},
                     ]}},
-    spectral_mu=lambda p: (0.0, lambda s, lam=p["lam"]: lam**3 * np.exp(-lam * s)),
 ))
 
 _register(AtomSpec(

@@ -538,9 +538,14 @@ def sqrt_subadditivity_check(gamma, pts: PointSet, tol: float = 1e-8) -> Permiss
 # ----------------------------------------------------------------------
 # structure probes
 
+# detect_period's scan points and probe seed, eventual_constancy_check's grid
+_PERIOD_SCAN = 4096
+_PERIOD_SEED = 20260815
+_CONSTANCY_GRID = 257
+
+
 def detect_period(gamma, search_radius: float, tol: float = 1e-8,
-                  d: int = 1, axis: int = 0, n_scan: int = 4096,
-                  seed: int = 20260815) -> np.ndarray | None:
+                  d: int = 1, axis: int = 0) -> np.ndarray | None:
     """Search for a nonzero period vector y with gamma(. + y) = gamma(.).
 
     Scans |gamma(t e) - gamma(0)| for interior local minima along the given
@@ -559,11 +564,11 @@ def detect_period(gamma, search_radius: float, tol: float = 1e-8,
         return np.asarray(gamma(ts[:, None] * unit[None, :]), dtype=float)
 
     gamma0 = float(along(0.0)[0])
-    ts = np.linspace(0.0, search_radius, n_scan + 1)[1:]
+    ts = np.linspace(0.0, search_radius, _PERIOD_SCAN + 1)[1:]
     vals = along(ts)
     m = np.abs(vals - gamma0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PERIOD_SEED)
     probes = rng.uniform(-search_radius, search_radius, size=(32, d))
     probe_vals = np.asarray(gamma(probes), dtype=float)
     scale = max(1.0, float(np.abs(vals).max()), float(np.abs(probe_vals).max()))
@@ -592,8 +597,8 @@ def detect_period(gamma, search_radius: float, tol: float = 1e-8,
 
 
 def eventual_constancy_check(profile, inner: float, outer: float,
-                             tol: float = 1e-8, all_d_certified: bool = False,
-                             n_grid: int = 257) -> PermissibilityReport:
+                             tol: float = 1e-8,
+                             all_d_certified: bool = False) -> PermissibilityReport:
     """Constancy of a radial profile on [inner, outer], with the structural
     consequence for models certified in every dimension.
 
@@ -606,7 +611,7 @@ def eventual_constancy_check(profile, inner: float, outer: float,
         raise ParameterError("need 0 <= inner < outer")
     config = _frame("eventual_constancy", tol, inner=inner, outer=outer,
                     all_d_certified=all_d_certified)
-    rs = np.linspace(inner, outer, n_grid)
+    rs = np.linspace(inner, outer, _CONSTANCY_GRID)
 
     def verdicts(vals):
         scale = _scale(vals)
@@ -616,7 +621,7 @@ def eventual_constancy_check(profile, inner: float, outer: float,
         records = [_record("constant_on_annulus", constant, spread / scale, tol,
                            lambda: {"spread": spread}, on_pass={"plateau": plateau})]
         if constant and all_d_certified:
-            head = np.linspace(0.0, inner, n_grid) if inner > 0 else rs
+            head = np.linspace(0.0, inner, _CONSTANCY_GRID) if inner > 0 else rs
             try:
                 head_vals = _finite(profile, head, what="profile values")[0]
             except VarioBernError as exc:

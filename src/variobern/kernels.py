@@ -128,12 +128,11 @@ def spectral_variogram(f: FunctionExpr) -> Variogram:
     """One-dimensional variogram from a drift + density Lévy carrier.
 
     algebra.spectral_node gates the carrier (a vanishing constant term, a
-    decreasing density m, a jump measure mu with m(t) = mu[t, inf) that
-    integrates min(s, s^2)). The resulting model evaluates
-
-        gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds)
-
-    by split quadrature with an oscillatory-weight tail.
+    decreasing density m that integrates min(2t, 1)). The resulting model
+    evaluates gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds) as
+    -Re(i xi f(i xi)) for a continued catalog atom carrying its own Lévy
+    triple, else as drift * xi^2 + xi integral sin(s xi) m(s) ds by split
+    quadrature with a sine-weight tail.
     """
     return Variogram(
         profile=alg.spectral_node(f), mode="norm", anisotropy=np.eye(1), d=1,
@@ -142,8 +141,8 @@ def spectral_variogram(f: FunctionExpr) -> Variogram:
 
 
 def spectral_reference(f: FunctionExpr, xi):
-    """-Re(i xi f(i xi)) where f extends analytically; the closed-form twin
-    of the spectral construction, used for cross-validation."""
+    """-Re(i xi f(i xi)) where f extends analytically, whatever Lévy triple
+    f carries; tests compare the spectral construction against it."""
     x = np.asarray(xi, dtype=float)
     z = 1j * x
     vals = alg.evaluate_complex(f, z)

@@ -527,3 +527,18 @@ def test_integral_floats_still_read_as_integers(capsys):
                        "--grid", "0:1:3")
     assert code == 0
     assert '"d": 1' in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--model", _with(POWER_HALF, d=True), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": {"a": True}}), "--grid", "0:1:3"],
+    ["construct", "--model", json.dumps({"constructor": "wendland",
+                                         "args": {"r": 1, "l": True, "d": 1}})],
+], ids=["model_d", "atom_param", "recipe_l"])
+def test_booleans_are_not_numbers(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "boolean" in err

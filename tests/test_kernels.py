@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import variobern as vb
+from variobern import algebra as alg
+from variobern.atoms import COMPLEX_ATOMS
 from variobern.errors import ConstructionError, ParameterError, QuadratureError
 
 
@@ -195,3 +197,96 @@ def test_spectral_gates_in_order_and_quietly():
         with pytest.raises(QuadratureError, match="min"):
             vb.spectral_variogram(vb.with_levy(
                 carrier, vb.LevyTriple(density=vb.catalog("recip"))))
+
+
+# ----------------------------------------------------------------------
+# spectral evaluation: continuation and quadrature over the Levy density
+
+SPECTRAL_LAGS = np.logspace(-3, math.log10(50.0), 9)
+
+# parameters of every continued atom; the spectral ones carry a Levy density
+# or a drift in their catalog triple
+CONTINUED = {
+    "const": [{"c": 0.0}],
+    "exp_decay": [{"a": 1.0}],
+    "exp_one_minus": [{"a": 1.0}],
+    "frac_linear": [{"lam": 0.7}, {"lam": 3.0}],
+    "log1p": [{}],
+    "power": [{"a": 0.25}, {"a": 0.5}, {"a": 0.75}, {"a": 1.0}],
+    "recip": [{}],
+}
+SPECTRAL_CARRIERS = [
+    f for f in (vb.catalog(name, p) for name in sorted(CONTINUED) for p in CONTINUED[name])
+    if f.levy is not None and (f.levy.density is not None or f.levy.drift > 0.0)]
+
+
+def by_quadrature(f):
+    """A spectral node on f's own triple that cannot take the continuation."""
+    return vb.spectral_node(vb.with_levy(vb.affine(f), f.levy))
+
+
+def test_every_continued_atom_is_sampled():
+    assert set(CONTINUED) == COMPLEX_ATOMS
+    assert {f.name for f in SPECTRAL_CARRIERS} == {"frac_linear", "log1p", "power"}
+
+
+@pytest.mark.parametrize("f, closed", [
+    (vb.catalog("log1p"), lambda x: x * np.arctan(x)),
+    (vb.catalog("frac_linear", {"lam": 0.7}), lambda x: 0.49 * x**2 / (0.49 + x**2)),
+    (vb.catalog("frac_linear", {"lam": 3.0}), lambda x: 9.0 * x**2 / (9.0 + x**2)),
+    *[(vb.catalog("power", {"a": a}),
+       lambda x, a=a: x ** (1.0 + a) * math.sin(a * math.pi / 2.0))
+      for a in (0.25, 0.5, 0.75)],
+    (vb.catalog("power", {"a": 1.0}), lambda x: x**2),
+], ids=["log1p", "frac_linear_0.7", "frac_linear_3", "power_0.25", "power_0.5",
+        "power_0.75", "power_1"])
+def test_spectral_continuation_matches_the_closed_forms(f, closed):
+    got = vb.evaluate(vb.spectral_node(f), SPECTRAL_LAGS)
+    want = closed(SPECTRAL_LAGS)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("f", SPECTRAL_CARRIERS, ids=vb.describe)
+def test_spectral_quadrature_over_m_matches_the_continuation(f):
+    quad = vb.evaluate(by_quadrature(f), SPECTRAL_LAGS)
+    closed = vb.evaluate(vb.spectral_node(f), SPECTRAL_LAGS)
+    assert np.max(np.abs(quad - closed) / closed) <= 1e-11
+
+
+def test_a_foreign_triple_is_never_read_through_the_continuation():
+    """log1p carrying frac_linear(1)'s triple is frac_linear's variogram."""
+    carrier = vb.with_levy(vb.catalog("log1p"),
+                           vb.catalog("frac_linear", {"lam": 1.0}).levy)
+    got = vb.evaluate(vb.spectral_node(carrier), SPECTRAL_LAGS)
+    x = SPECTRAL_LAGS
+    assert np.max(np.abs(got - x**2 / (1.0 + x**2)) / got) <= 1e-11
+    assert not np.allclose(got, x * np.arctan(x), rtol=1e-3)
+
+
+@pytest.mark.parametrize("node", [vb.spectral_node, by_quadrature],
+                         ids=["continuation", "quadrature"])
+def test_spectral_endpoint_limits_hold_on_both_paths(node):
+    bounded = node(vb.catalog("frac_linear", {"lam": 3.0}))
+    assert list(vb.evaluate(bounded, np.array([0.0, np.inf]))) == [0.0, 9.0]
+    for unbounded in (vb.catalog("log1p"), vb.catalog("power", {"a": 1.0})):
+        assert vb.evaluate(node(unbounded), 0.0) == 0.0
+        with pytest.raises(vb.EvaluationError, match="non-finite"):
+            vb.evaluate(node(unbounded), np.inf)
+
+
+def test_spectral_measure_is_the_carriers_levy_density():
+    f = vb.catalog("frac_linear", {"lam": 2.0})
+    assert alg.spectral_measure(f) == (0.0, f.levy.density)
+    assert alg.spectral_measure(vb.catalog("power", {"a": 1.0})) == (1.0, None)
+
+
+def test_one_integral_of_m_gates_levy_eval_and_the_spectral_node():
+    density = vb.catalog("frac_linear", {"lam": 1.2345}).levy.density
+    triple = vb.LevyTriple(density=density)
+    before = alg._levy_moment_finite.cache_info()
+    vb.spectral_node(vb.with_levy(vb.affine(vb.catalog("log1p")), triple))
+    vb.levy_eval(triple, 1.0)
+    vb.spectral_node(vb.with_levy(vb.catalog("log1p"), triple))
+    after = alg._levy_moment_finite.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2
