@@ -83,14 +83,14 @@ class LevyTriple:
     density: "FunctionExpr | None" = None
 
     def __post_init__(self):
-        if self.drift < 0 or self.constant < 0:
-            raise ParameterError("Levy triple requires drift >= 0 and constant >= 0")
+        if not (0.0 <= self.drift < math.inf and 0.0 <= self.constant < math.inf):
+            raise ParameterError("Levy triple requires finite drift >= 0 and constant >= 0")
         if self.atoms and self.density is not None:
             raise ParameterError("Levy measure is either atoms or a density, not both")
         for t, m in self.atoms:
-            if t <= 0 or m < 0:
+            if not (0.0 < t < math.inf and 0.0 <= m < math.inf):
                 raise ParameterError(
-                    "Levy atoms require location > 0 and mass >= 0"
+                    "Levy atoms require finite location > 0 and mass >= 0"
                 )
 
 
@@ -268,19 +268,9 @@ def cbf_table() -> tuple[FunctionExpr, ...]:
 
 
 def _build_levy(name: str, p: dict) -> LevyTriple | None:
+    """The catalog triple of atom name with parameters p, or None."""
     spec = REGISTRY[name]
-    if spec.levy is None:
-        return None
-    raw = spec.levy(p)
-    if raw is None:
-        return None
-    density = raw.get("density")
-    return LevyTriple(
-        drift=raw.get("drift", 0.0),
-        constant=raw.get("constant", 0.0),
-        atoms=tuple((float(t), float(m)) for t, m in raw.get("atoms", ())),
-        density=expr_from_json(density) if density is not None else None,
-    )
+    return None if spec.levy is None else _levy_from_json(spec.levy(p))
 
 
 def affine(f: FunctionExpr, shift: float = 0.0, scale: float = 1.0) -> FunctionExpr:
@@ -677,9 +667,44 @@ def expr_to_json(e: FunctionExpr) -> dict:
         if e.kind == "affine":
             d.update(e.params_dict)
         d["args"] = [expr_to_json(c) for c in e.children]
+    if e.levy != (_build_levy(e.name, e.params_dict) if e.kind == "atom" else None):
+        d["levy"] = _levy_to_json(e.levy)
     if e.tags != e.derived:
         d["tags"] = sorted(e.tags)
     return d
+
+
+def _levy_to_json(t: LevyTriple | None) -> dict | None:
+    if t is None:
+        return None
+    d: dict = {"drift": t.drift, "constant": t.constant}
+    if t.atoms:
+        d["atoms"] = [list(a) for a in t.atoms]
+    if t.density is not None:
+        d["density"] = expr_to_json(t.density)
+    return d
+
+
+def _levy_from_json(d) -> LevyTriple | None:
+    """A triple {drift, constant, atoms: [[t, mass], ...] or density: expr}."""
+    if d is None:
+        return None
+    if not isinstance(d, dict) or not set(d) <= {"drift", "constant", "atoms", "density"}:
+        raise ParameterError(
+            f"expression 'levy' must be an object with keys drift, constant, "
+            f"atoms or density, got {d!r}")
+    atoms = d.get("atoms", [])
+    if not isinstance(atoms, (list, tuple)) or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms):
+        raise ParameterError(f"Levy 'atoms' must be [location, mass] pairs, got {atoms!r}")
+    density = d.get("density")
+    return LevyTriple(
+        drift=_number(d.get("drift", 0.0), "Levy drift"),
+        constant=_number(d.get("constant", 0.0), "Levy constant"),
+        atoms=tuple((_number(t, "Levy atom location"), _number(m, "Levy atom mass"))
+                    for t, m in atoms),
+        density=None if density is None else expr_from_json(density),
+    )
 
 
 def _field(d: dict, key: str, default=None) -> float:
@@ -724,6 +749,8 @@ def expr_from_json(d: dict) -> FunctionExpr:
         e = build(args, d)
     else:
         raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
+    if "levy" in d:
+        e = with_levy(e, _levy_from_json(d["levy"]))
     if "tags" in d:
         tags = d["tags"]
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):

@@ -361,7 +361,11 @@ def cmd_simulate(args) -> int:
     config = {"command": "simulate", "model": models.model_to_json(model),
               "points": args.points, "seed": args.seed,
               "replicates": args.replicates, "bins": bins, "tol": args.tol,
-              "diag_shift": info["diag_shift"], "out": args.out}
+              "diag_shift": info["diag_shift"],
+              "min_eigenvalue": info["min_eigenvalue"],
+              # JSON has no infinity: a singular shifted Gram matrix is null
+              "cond": info["cond"] if math.isfinite(info["cond"]) else None,
+              "out": args.out}
     lines = [f"# config: {json.dumps(config, sort_keys=True)}",
              "lag_lo,lag_hi,count,gamma_hat"]
     for lo, hi, count, gh in rows:

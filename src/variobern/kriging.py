@@ -12,9 +12,12 @@ matrix right-hand side. The dense path is one LU of the bordered matrix. The
 sparse path (compactly supported covariances only, covariance tapering in the
 sense of Furrer, Genton and Nychka, 2006) is one sparse LU of K, with the
 border eliminated by a Schur complement, so sparse and dense weights agree to
-solver accuracy. Each result carries the kriging variance (Cressie,
-*Statistics for Spatial Data*, 1993, section 3.2) and the residual of its
-bordered system.
+solver accuracy. K is symmetric, so SuperLU factors it in symmetric mode: a
+minimum-degree ordering of K + K' applied to rows and columns alike, and the
+diagonal pivot kept unless it falls below _DIAG_PIVOT_THRESH of its column.
+Each result carries the kriging variance (Cressie, *Statistics for Spatial
+Data*, 1993, section 3.2) and the residual of its bordered system; on either
+path a residual above 1e-6 * max(1, max|rhs|) raises DegenerateSystemError.
 
 Simulation factorizes the covariance Gram matrix by eigendecomposition,
 repairing tolerance-level negative eigenvalues with a recorded diagonal
@@ -132,6 +135,12 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
     return m.tocsc()
 
 
+# a diagonal pivot at least this fraction of its column's largest entry is
+# kept; K is positive definite for a valid covariance on distinct sites, and
+# the residual gate of krige_many catches a pivot this lets through badly
+_DIAG_PIVOT_THRESH = 0.01
+
+
 def _check_sites(pts: PointSet) -> None:
     if pts.values is None:
         raise ParameterError("kriging needs observed values at the sites")
@@ -144,7 +153,7 @@ def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[Krigi
 
     The site checks, the model matrix and its factorization are done once;
     the T right-hand sides are solved together. Each target still has its
-    own dense residual gate. Models that are not a StationaryCovariance are
+    own residual gate. Models that are not a StationaryCovariance are
     read as variograms for the kriging variance.
     """
     _check_sites(pts)
@@ -165,15 +174,12 @@ def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[Krigi
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"kriging system is singular: {exc}") from None
         resid = np.abs(bordered @ sol - rhs).max(axis=0)
-        gate = 1e-6 * np.maximum(1.0, np.abs(rhs).max(axis=0))
-        if not np.isfinite(sol).all() or (resid > gate).any():
-            raise DegenerateSystemError(
-                f"kriging system is numerically singular (residual {resid.max():g})"
-            )
         weights, mu = sol[:n], sol[n]
     else:
         try:
-            lu = splu(k)
+            lu = splu(k, permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                      options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise DegenerateSystemError(f"sparse factorization failed: {exc}") from None
         xy = lu.solve(np.column_stack([k0, np.ones(n)]))
@@ -185,6 +191,11 @@ def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[Krigi
         weights = x - np.outer(y, mu)
         resid = np.maximum(np.abs(k @ weights + mu - k0).max(axis=0),
                            np.abs(weights.sum(axis=0) - 1.0))
+    gate = 1e-6 * np.maximum(1.0, np.abs(k0).max(axis=0))
+    if not (np.isfinite(weights).all() and np.isfinite(mu).all()) or (resid > gate).any():
+        raise DegenerateSystemError(
+            f"kriging system is numerically singular (residual {resid.max():g})"
+        )
     wk0 = np.einsum("it,it->t", weights, k0)
     if isinstance(model, StationaryCovariance):
         variance = model.sill - wk0 - mu

@@ -109,6 +109,13 @@ def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None
     return None
 
 
+def _float_matrix(v) -> np.ndarray:
+    """v as a float array; a boolean entry is not a number, as in _number."""
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(v, dtype=object).flat):
+        raise TypeError("a boolean is not a number")
+    return np.array(v, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class _RadialModel:
     profile: FunctionExpr
@@ -124,7 +131,7 @@ class _RadialModel:
             raise ParameterError("dimension must be >= 1")
         d = self.d
         a = _number(np.eye(d) if self.anisotropy is None else self.anisotropy,
-                    "anisotropy", lambda v: np.array(v, dtype=float))
+                    "anisotropy", _float_matrix)
         if a.shape != (d, d):
             raise ParameterError(f"anisotropy must be {d}x{d}, got {a.shape}")
         if not np.all(np.isfinite(a)):

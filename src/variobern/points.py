@@ -8,7 +8,9 @@ with the offending row number and column name.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -75,8 +77,7 @@ def _expected_header(d: int, with_values: bool) -> list[str]:
 def read_points_csv(path) -> PointSet:
     """Read a point set; header must be x1,...,xd with optional value column."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+        rows = [r for r in csv.reader(fh) if "".join(r).strip()]
     if not rows:
         raise ParameterError(f"{path}: file is empty")
     header = [c.strip() for c in rows[0]]
@@ -87,31 +88,42 @@ def read_points_csv(path) -> PointSet:
             f"{path}: header must be x1,...,xd with an optional trailing "
             f"'value' column, got {header}"
         )
-    coords = np.empty((len(rows) - 1, d))
-    values = np.empty(len(rows) - 1) if with_values else None
-    for i, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    try:
+        # a ragged table fails in np.array, rows of one wrong length in reshape
+        data = np.array([[float(c.strip()) for c in row] for row in body]
+                        ).reshape(len(body), len(header))
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        _raise_first_bad_cell(path, header, body)
+    if with_values:
+        return PointSet(data[:, :d], data[:, d])
+    return PointSet(data)
+
+
+def _raise_first_bad_cell(path, header: list[str], body: list[list[str]]) -> NoReturn:
+    """Raise ParameterError for the first row of the wrong length, or cell
+    that is not a finite number, in reading order (rows numbered from 2)."""
+    for i, row in enumerate(body, start=2):
         cells = [c.strip() for c in row]
         if len(cells) != len(header):
             raise ParameterError(
                 f"{path}: row {i} has {len(cells)} fields, expected {len(header)}"
             )
-        for j, cell in enumerate(cells):
+        for name, cell in zip(header, cells):
             try:
                 v = float(cell)
             except ValueError:
                 raise ParameterError(
-                    f"{path}: row {i}, column '{header[j]}': could not parse "
+                    f"{path}: row {i}, column '{name}': could not parse "
                     f"{cell!r} as a number"
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ParameterError(
-                    f"{path}: row {i}, column '{header[j]}': value must be finite"
+                    f"{path}: row {i}, column '{name}': value must be finite"
                 )
-            if with_values and j == d:
-                values[i - 2] = v
-            else:
-                coords[i - 2, j] = v
-    return PointSet(coords, values)
+    raise AssertionError("no bad cell in a table that failed to parse")
 
 
 def write_points_csv(ps: PointSet, path) -> None:

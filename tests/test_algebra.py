@@ -4,6 +4,7 @@ Reference values are frozen from closed forms (checked against mpmath at 30
 digits where special functions are involved).
 """
 
+import json
 import math
 
 import numpy as np
@@ -394,6 +395,50 @@ def test_expr_json_affine_and_manual_tags():
     back = vb.expr_from_json(vb.expr_to_json(a))
     x = np.linspace(0.0, 4.0, 5)
     assert np.array_equal(vb.evaluate(back, x), vb.evaluate(a, x))
+
+
+def _json_round_trip(e):
+    return vb.expr_from_json(json.loads(json.dumps(vb.expr_to_json(e))))
+
+
+def test_expr_json_keeps_a_foreign_levy_triple():
+    """A spectral variogram on a with_levy carrier reloads as itself."""
+    carrier = vb.with_levy(vb.catalog("log1p"), vb.catalog("frac_linear", {"lam": 1.0}).levy)
+    model = vb.spectral_variogram(carrier)
+    back = vb.model_from_json(json.loads(json.dumps(vb.model_to_json(model))))
+    assert back.profile == model.profile
+    lags = np.array([[0.5], [2.0], [7.0]])
+    assert np.array_equal(back(lags), model(lags))
+    assert back(np.array([[2.0]]))[0] == pytest.approx(0.8, rel=1e-9)
+
+
+@pytest.mark.parametrize("e", [
+    vb.with_levy(vb.affine(vb.catalog("power", {"a": 1.0}), scale=2.0),
+                 vb.catalog("power", {"a": 0.5}).levy),
+    vb.with_levy(vb.catalog("log1p"), vb.catalog("exp_one_minus", {"a": 1.5}).levy),
+    vb.with_levy(vb.catalog("log1p"), vb.LevyTriple(drift=0.5, constant=0.25)),
+    vb.with_levy(vb.catalog("log1p"), None),
+], ids=["op_node", "atoms", "drift_only", "none"])
+def test_expr_json_levy_round_trip(e):
+    back = _json_round_trip(e)
+    assert back == e and back.levy == e.levy
+
+
+def test_expr_json_writes_no_levy_a_node_rebuilds():
+    for e in (vb.catalog("log1p"), vb.catalog("exp_one_minus", {"a": 2.0}),
+              vb.fsum(vb.catalog("log1p"), vb.catalog("power", {"a": 0.5}))):
+        assert "levy" not in json.dumps(vb.expr_to_json(e))
+
+
+@pytest.mark.parametrize("levy", [
+    5, [0.0], {"drift": "x"}, {"drift": -1.0}, {"drift": True}, {"constant": "nan"},
+    {"mass": 1.0}, {"atoms": 3}, {"atoms": [[1.0]]}, {"atoms": [[-1.0, 1.0]]},
+    {"atoms": [[1.0, 1.0]], "density": {"atom": "recip", "params": {}}},
+    {"density": {"atom": "nope", "params": {}}},
+])
+def test_expr_json_malformed_levy_is_a_parameter_error(levy):
+    with pytest.raises(ParameterError):
+        vb.expr_from_json({"atom": "log1p", "params": {}, "levy": levy})
 
 
 def test_expr_json_errors():

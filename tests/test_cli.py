@@ -340,6 +340,42 @@ def test_simulate_seeded_and_deterministic(tmp_path):
     assert "diag_shift" in cfg
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not standard JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("coords", [np.linspace(0, 4, 5)[:, None], [[0.0], [0.0], [1.0]]],
+                         ids=["distinct", "duplicate"])
+def test_simulate_header_reports_conditioning(capsys, tmp_path, coords):
+    sites = write_sites(tmp_path / "s.csv", coords)
+    code, out, _ = run(capsys, "simulate", "--model", EXP_COV, "--points", sites,
+                       "--seed", "3", "--replicates", "4")
+    assert code == 0
+    cfg = _strict_json(out.splitlines()[0].split("# config: ", 1)[1])
+    spec = vb.SimulationSpec(vb.exponential_covariance(1.0, d=1),
+                             vb.PointSet(np.asarray(coords, float)), 3, 4)
+    _, info = vb.simulate_field(spec)
+    assert cfg["diag_shift"] == info["diag_shift"]
+    assert cfg["min_eigenvalue"] == info["min_eigenvalue"]
+    assert cfg["cond"] == (info["cond"] if np.isfinite(info["cond"]) else None)
+
+
+def test_simulate_header_writes_infinite_cond_as_null(capsys, tmp_path, monkeypatch):
+    real = vb.kriging.simulate_field
+
+    def singular(spec, tol):
+        reps, info = real(spec, tol)
+        return reps, {**info, "cond": float("inf")}
+
+    monkeypatch.setattr(vb.kriging, "simulate_field", singular)
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0]])
+    code, out, _ = run(capsys, "simulate", "--model", EXP_COV, "--points", sites)
+    assert code == 0
+    assert _strict_json(out.splitlines()[0].split("# config: ", 1)[1])["cond"] is None
+
+
 def test_simulate_different_seed_changes_output(capsys, tmp_path):
     sites = write_sites(tmp_path / "s.csv", np.linspace(0, 4, 5)[:, None])
     _, out1, _ = run(capsys, "simulate", "--model", EXP_COV,
@@ -510,8 +546,13 @@ def test_malformed_numbers_exit_2_with_one_error_line(capsys, tmp_path, argv):
         "atom": ["power"], "params": {"a": 0.5}}), "--grid", "0:1:3"],
     ["grid", "--model", _with(POWER_HALF, profile={"op": "sum", "args": 5}),
      "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": {"a": 0.5}, "levy": {"drift": "x"}}), "--grid", "0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, profile={
+        "atom": "power", "params": {"a": 0.5}, "levy": [1.0]}), "--grid", "0:1:3"],
 ], ids=["model_d_fraction", "recipe_l_fraction", "recipe_d_fraction",
-        "tags_number", "tags_member", "params_string", "atom_list", "args_number"])
+        "tags_number", "tags_member", "params_string", "atom_list", "args_number",
+        "levy_drift", "levy_list"])
 def test_malformed_integers_and_expression_json_exit_2(capsys, tmp_path, argv):
     """Integers are never truncated, and expression JSON of the wrong
     structure is a ParameterError, not a traceback."""
@@ -535,7 +576,11 @@ def test_integral_floats_still_read_as_integers(capsys):
         "atom": "power", "params": {"a": True}}), "--grid", "0:1:3"],
     ["construct", "--model", json.dumps({"constructor": "wendland",
                                          "args": {"r": 1, "l": True, "d": 1}})],
-], ids=["model_d", "atom_param", "recipe_l"])
+    ["grid", "--model", _with(POWER_HALF, d=2, A=[[True, False], [False, True]]),
+     "--grid", "0:1:3,0:1:3"],
+    ["grid", "--model", _with(POWER_HALF, d=2, A=[[1.0, 0.0], [0.0, True]]),
+     "--grid", "0:1:3,0:1:3"],
+], ids=["model_d", "atom_param", "recipe_l", "anisotropy", "anisotropy_entry"])
 def test_booleans_are_not_numbers(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import variobern as vb
+from variobern import kriging
 from variobern.errors import DegenerateSystemError, ParameterError
 
 
@@ -148,6 +149,49 @@ def test_kriging_sparse_matches_dense(wendland_model, rng):
     assert np.allclose(dense.weights, sparse.weights, atol=1e-9)
     assert dense.prediction == pytest.approx(sparse.prediction, abs=1e-9)
     assert dense.lagrange == pytest.approx(sparse.lagrange, abs=1e-9)
+
+
+def test_sparse_factor_is_symmetric(wendland_model, rng, monkeypatch):
+    """One symmetric-mode factor: the same permutation on rows and columns,
+    and less fill than the default column ordering of an unsymmetric LU.
+    SymmetricMode leaves fill and permutations as they are here but cuts the
+    factor time about threefold at n = 2025, so the call must ask for it."""
+    factors = []
+
+    def recording_splu(*args, **kw):
+        assert kw["options"]["SymmetricMode"] is True
+        factors.append(real_splu(*args, **kw))
+        return factors[-1]
+
+    real_splu = kriging.splu
+    monkeypatch.setattr(kriging, "splu", recording_splu)
+    pts = obs(rng.uniform(0, 6, size=(80, 2)), rng.normal(size=80))
+    targets = rng.uniform(0, 6, size=(5, 2))
+    sparse = vb.krige_many(wendland_model, pts, targets, mode="sparse")
+    [lu] = factors
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    unsymmetric = real_splu(vb.build_gamma_matrix(wendland_model, pts, "sparse"))
+    assert lu.L.nnz < unsymmetric.L.nnz
+    for a, b in zip(sparse, vb.krige_many(wendland_model, pts, targets)):
+        assert np.abs(a.weights - b.weights).max() <= 1e-9
+        assert a.residual < 1e-12
+
+
+def test_sparse_residual_gate(wendland_model, rng, monkeypatch):
+    """A solve that misses the system is caught by the dense path's gate."""
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) + 1e-4
+
+    real_splu = kriging.splu
+    monkeypatch.setattr(kriging, "splu", lambda *a, **kw: Perturbed(real_splu(*a, **kw)))
+    pts = obs(rng.uniform(0, 6, size=(30, 2)), rng.normal(size=30))
+    with pytest.raises(DegenerateSystemError, match=r"residual \d"):
+        vb.ordinary_kriging(wendland_model, pts, [3.0, 3.0], mode="sparse")
 
 
 def test_kriging_result_json(exp_model):

@@ -75,6 +75,70 @@ def test_csv_non_finite_rejected(tmp_path):
         vb.read_points_csv(path)
 
 
+def _read_error(tmp_path, text):
+    path = tmp_path / "sites.csv"
+    path.write_text(text)
+    with pytest.raises(ParameterError) as info:
+        vb.read_points_csv(path)
+    prefix = f"{path}: "
+    assert str(info.value).startswith(prefix)
+    return str(info.value)[len(prefix):]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2\n1,2\n3,abc\n", "row 3, column 'x2': could not parse 'abc' as a number"),
+    ("x1,value\n1,2\n ,4\n", "row 3, column 'x1': could not parse '' as a number"),
+    ("x1,value\n1,inf\n", "row 2, column 'value': value must be finite"),
+    ("x1,x2\n1,2\n-inf,2\n", "row 3, column 'x1': value must be finite"),
+    ("x1,x2\nnan,2\n", "row 2, column 'x1': value must be finite"),
+    ("x1,x2\n1,1e999\n", "row 2, column 'x2': value must be finite"),
+    ("x1,x2\n1,2\n3\n", "row 3 has 1 fields, expected 2"),
+    ("x1,x2\n1,2,3\n", "row 2 has 3 fields, expected 2"),
+    ("x1,x2\n1\n2\n", "row 2 has 1 fields, expected 2"),
+    ("x1,x2\n1,2,3,4\n", "row 2 has 4 fields, expected 2"),
+], ids=["word", "empty-cell", "inf", "minus-inf", "nan", "overflow", "short", "long",
+        "all-short", "one-long"])
+def test_csv_error_names_row_column_and_cell(tmp_path, text, message):
+    assert _read_error(tmp_path, text) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first offending cell in reading order is reported, whatever its fault
+    ("x1,x2\n1,inf\n2,abc\n", "row 2, column 'x2': value must be finite"),
+    ("x1,x2\n1,abc\n2,inf\n", "row 2, column 'x2': could not parse 'abc' as a number"),
+    ("x1,x2\nnan,abc\n", "row 2, column 'x1': value must be finite"),
+    ("x1,x2\nabc,nan\n", "row 2, column 'x1': could not parse 'abc' as a number"),
+    ("x1,x2\ninf,2\n3\n", "row 2, column 'x1': value must be finite"),
+    ("x1,x2\n1,2\nabc\n", "row 3 has 1 fields, expected 2"),
+])
+def test_csv_error_is_the_first_bad_cell(tmp_path, text, message):
+    assert _read_error(tmp_path, text) == message
+
+
+def test_csv_cells_with_surrounding_spaces(tmp_path):
+    # str.strip also drops the separators \x1c-\x1f, which float() keeps
+    path = tmp_path / "sites.csv"
+    path.write_text(" x1 , x2 ,value\n  1.5 , -2 ,\t3e-1 \n\x1c0\x1f,  +4.25,-0\n")
+    ps = vb.read_points_csv(path)
+    assert np.array_equal(ps.coords, [[1.5, -2.0], [0.0, 4.25]])
+    assert np.array_equal(ps.values, [0.3, -0.0])
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text("\nx1,value\n\n1,2\n   \n , \n3,4\n\n")
+    ps = vb.read_points_csv(path)
+    assert np.array_equal(ps.coords, [[1.0], [3.0]])
+    assert np.array_equal(ps.values, [2.0, 4.0])
+
+
+def test_csv_header_only_has_no_points(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text("x1,x2\n")
+    with pytest.raises(ParameterError, match="n, d >= 1"):
+        vb.read_points_csv(path)
+
+
 def test_sample_point_sets_deterministic():
     a = vb.sample_point_sets(3, 6, 2, seed=7)
     b = vb.sample_point_sets(3, 6, 2, seed=7)
