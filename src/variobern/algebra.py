@@ -128,6 +128,15 @@ class FunctionExpr:
 
 
 def describe(e: FunctionExpr) -> str:
+    """A compact construction string; a node that carries a Levy triple
+    other than its own (see _foreign_levy) reads with_levy(node, triple)."""
+    text = _describe_node(e)
+    if _foreign_levy(e):
+        return f"with_levy({text}, {_describe_levy(e.levy)})"
+    return text
+
+
+def _describe_node(e: FunctionExpr) -> str:
     if e.kind == "atom":
         inner = ", ".join(f"{k}={v:g}" for k, v in e.params)
         return f"{e.name}({inner})"
@@ -142,6 +151,17 @@ def describe(e: FunctionExpr) -> str:
     if e.alpha is not None:
         return f"{head}({parts}; alpha={e.alpha:g})"
     return f"{head}({parts})"
+
+
+def _describe_levy(t: LevyTriple | None) -> str:
+    if t is None:
+        return "none"
+    parts = [f"drift={t.drift:g}", f"constant={t.constant:g}"]
+    if t.atoms:
+        parts.append("atoms=[" + ", ".join(f"({a:g}, {m:g})" for a, m in t.atoms) + "]")
+    if t.density is not None:
+        parts.append(f"density={describe(t.density)}")
+    return f"levy({', '.join(parts)})"
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +291,12 @@ def _build_levy(name: str, p: dict) -> LevyTriple | None:
     """The catalog triple of atom name with parameters p, or None."""
     spec = REGISTRY[name]
     return None if spec.levy is None else _levy_from_json(spec.levy(p))
+
+
+def _foreign_levy(e: FunctionExpr) -> bool:
+    """Whether e carries another Levy triple than the node rebuilt from its
+    fields would: an atom's catalog triple, or none on an operation node."""
+    return e.levy != (_build_levy(e.name, e.params_dict) if e.kind == "atom" else None)
 
 
 def affine(f: FunctionExpr, shift: float = 0.0, scale: float = 1.0) -> FunctionExpr:
@@ -598,8 +624,7 @@ def check_mu_integrability(m: FunctionExpr) -> None:
 @functools.lru_cache(maxsize=64)
 def _own_catalog_triple(f: FunctionExpr) -> bool:
     """Whether f is a continued catalog atom carrying its catalog triple."""
-    return (f.kind == "atom" and f.name in COMPLEX_ATOMS
-            and f.levy == _build_levy(f.name, f.params_dict))
+    return f.kind == "atom" and f.name in COMPLEX_ATOMS and not _foreign_levy(f)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -667,7 +692,7 @@ def expr_to_json(e: FunctionExpr) -> dict:
         if e.kind == "affine":
             d.update(e.params_dict)
         d["args"] = [expr_to_json(c) for c in e.children]
-    if e.levy != (_build_levy(e.name, e.params_dict) if e.kind == "atom" else None):
+    if _foreign_levy(e):
         d["levy"] = _levy_to_json(e.levy)
     if e.tags != e.derived:
         d["tags"] = sorted(e.tags)

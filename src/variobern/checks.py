@@ -13,6 +13,14 @@ Every check reduces to finite linear algebra or finite differencing:
   computed, and its eigenvector is mapped back through the same reflector
   into a reusable witness contrast (positive definiteness takes the
   extreme eigenpair of the kernel matrix itself);
+* one BLAS runtime from kernel assembly to the eigensolver: numpy and scipy
+  each bundle an OpenBLAS with its own thread pool, and numpy's workers keep
+  spinning after a matrix product while scipy's LAPACK runs (on two cores
+  the eigensolve then takes about twice as long), so nothing in between
+  calls numpy's BLAS (``@``, dot, solve): the reflector's products are row
+  sums;
+* a radial model's kernel matrix is filled bitwise symmetric, so it is its
+  own symmetric part and its evenness gap is 0: neither is computed;
 * complete monotonicity and the Bernstein property are tested through the
   alternating signs of Newton divided differences, never through symbolic
   derivatives, so tabulated kernels work too;
@@ -210,6 +218,12 @@ def _radial_matrix(model, pts: PointSet) -> np.ndarray:
     return k
 
 
+def _radial(kernel) -> bool:
+    """Whether kernel is a radial model, whose kernel matrix _radial_matrix
+    fills bitwise symmetric."""
+    return isinstance(kernel, (Variogram, StationaryCovariance))
+
+
 def kernel_matrix(kernel, pts: PointSet) -> np.ndarray:
     """K[i, j] = kernel(x_i - x_j); kernel maps (..., d) lag arrays.
 
@@ -218,7 +232,7 @@ def kernel_matrix(kernel, pts: PointSet) -> np.ndarray:
     only, by row blocks, without the (n, n, d) lag tensor. Any other
     callable is evaluated on pts.lags(), both orientations of every pair.
     """
-    if isinstance(kernel, (Variogram, StationaryCovariance)):
+    if _radial(kernel):
         vals = _radial_matrix(kernel, pts)
     else:
         vals = np.asarray(kernel(pts.lags()), dtype=float)
@@ -255,6 +269,11 @@ def contrast_basis(n: int) -> np.ndarray:
     return (np.eye(n) - np.outer(u, u) / u[-1])[:, :-1]
 
 
+def _symmetric_part(kernel, g: np.ndarray) -> np.ndarray:
+    """0.5 (g + g') for a general kernel; a radial model's g as it is."""
+    return g if _radial(kernel) else 0.5 * (g + g.T)
+
+
 def _extreme_eigenpair(m: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """The k-th smallest eigenvalue of the symmetric m and its eigenvector.
 
@@ -276,7 +295,7 @@ def cnd_check(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
     """
     config = _frame("cnd", tol, n=pts.n, d=pts.d)
     return _report(config, "cnd", lambda: [kernel_matrix(gamma, pts)],
-                   lambda g: [_cnd_record(g, tol)])
+                   lambda g: [_cnd_record(g, _symmetric_part(gamma, g), tol)])
 
 
 def _contrast_block(sym: np.ndarray) -> np.ndarray:
@@ -285,19 +304,22 @@ def _contrast_block(sym: np.ndarray) -> np.ndarray:
     B' S B is the leading block of H S H = S - p u' - u p' + c u u', with
     p = S u / u[-1] and c = u.p / u[-1]. The first n-1 entries of u all
     equal u[0], so that block is S_ij - (q_i + q_j) with q = u[0] (p - c u / 2):
-    O(n^2), and exactly symmetric.
+    O(n^2), and exactly symmetric. For the same reason S u is
+    u[0] S 1 + (u[-1] - u[0]) S e_n, a row sum and a column, and u.p
+    likewise: no BLAS call runs before the eigensolver (see the module note).
     """
     u = _reflector(sym.shape[0])
-    p = sym @ u / u[-1]
-    q = u[0] * (p - 0.5 * (u @ p) / u[-1] * u)[:-1]
+    tail = u[-1] - u[0]
+    p = (u[0] * sym.sum(axis=1) + tail * sym[:, -1]) / u[-1]
+    up = u[0] * p.sum() + tail * p[-1]
+    q = u[0] * (p - 0.5 * up / u[-1] * u)[:-1]
     block = q[:, None] + q
     return np.subtract(sym[:-1, :-1], block, out=block)
 
 
-def _cnd_record(g: np.ndarray, tol: float) -> CheckRecord:
-    # the largest eigenpair of the contrast restriction; v maps back to a
-    # witness contrast through the same reflector
-    sym = 0.5 * (g + g.T)
+def _cnd_record(g: np.ndarray, sym: np.ndarray, tol: float) -> CheckRecord:
+    # the largest eigenpair of the contrast restriction of sym, the symmetric
+    # part of g; v maps back to a witness contrast through the same reflector
     scale = _scale(g)
     n = g.shape[0]
     lam, v = _extreme_eigenpair(_contrast_block(sym), n - 2)
@@ -316,12 +338,12 @@ def pd_check(cov, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
     """Positive definiteness (PSD up to tolerance) of cov on the sites."""
     config = _frame("pd", tol, n=pts.n, d=pts.d)
     return _report(config, "pd", lambda: [kernel_matrix(cov, pts)],
-                   lambda c: [_pd_record(c, tol)])
+                   lambda c: [_pd_record(c, _symmetric_part(cov, c), tol)])
 
 
-def _pd_record(c: np.ndarray, tol: float) -> CheckRecord:
-    # the smallest eigenpair of the symmetric part; its vector is the witness
-    sym = 0.5 * (c + c.T)
+def _pd_record(c: np.ndarray, sym: np.ndarray, tol: float) -> CheckRecord:
+    # the smallest eigenpair of sym, the symmetric part of c; its vector is
+    # the witness
     scale = _scale(c)
     lam, a = _extreme_eigenpair(sym, 0)
     return _record("pd", lam >= -tol * scale, lam / scale, tol, lambda: {
@@ -335,8 +357,8 @@ def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityR
     The lag set is closed under negation and x_j - x_i = -(x_i - x_j)
     exactly, so gamma(-lag) is read off the transpose of the one kernel
     matrix that the CND check uses as well. A radial model is even by
-    construction and its matrix is filled symmetrically, so its evenness
-    gap is 0.
+    construction and its matrix is filled bitwise symmetric, so its
+    evenness record is a pass at gap 0 without a scan.
     """
     config = _frame("variogram_axioms", tol, n=pts.n, d=pts.d)
     records: list[CheckRecord] = []
@@ -350,10 +372,14 @@ def variogram_axioms(gamma, pts: PointSet, tol: float = 1e-8) -> PermissibilityR
         records.append(_inconclusive("axioms", tol, exc))
         records.append(_inconclusive("cnd", tol, exc))
         return PermissibilityReport(tuple(records), config)
-    records.append(_worst(
-        "evenness", np.abs(g - g.T), _scale(g), tol,
-        lambda i, j, gap: {"lag": (pts.coords[i] - pts.coords[j]).tolist(), "gap": gap}))
-    records.append(_cnd_record(g, tol))
+    if _radial(gamma):
+        records.append(_record("evenness", True, 0.0, tol, None))
+    else:
+        records.append(_worst(
+            "evenness", np.abs(g - g.T), _scale(g), tol,
+            lambda i, j, gap: {"lag": (pts.coords[i] - pts.coords[j]).tolist(),
+                               "gap": gap}))
+    records.append(_cnd_record(g, _symmetric_part(gamma, g), tol))
     return PermissibilityReport(tuple(records), config)
 
 

@@ -96,16 +96,24 @@ def read_points_csv(path) -> PointSet:
     except ValueError:
         data = None
     if data is None or not np.isfinite(data).all():
-        _raise_first_bad_cell(path, header, body)
+        _raise_first_bad_cell(path, header)
     if with_values:
         return PointSet(data[:, :d], data[:, d])
     return PointSet(data)
 
 
-def _raise_first_bad_cell(path, header: list[str], body: list[list[str]]) -> NoReturn:
+def _raise_first_bad_cell(path, header: list[str]) -> NoReturn:
     """Raise ParameterError for the first row of the wrong length, or cell
-    that is not a finite number, in reading order (rows numbered from 2)."""
-    for i, row in enumerate(body, start=2):
+    that is not a finite number, in reading order.
+
+    The file is read again so that each row is named by its line in the
+    file, blank lines counted; the reader that succeeds keeps no line
+    numbers.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if "".join(r).strip()]
+    for i, row in rows[1:]:
         cells = [c.strip() for c in row]
         if len(cells) != len(header):
             raise ParameterError(

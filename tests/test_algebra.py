@@ -430,6 +430,36 @@ def test_expr_json_writes_no_levy_a_node_rebuilds():
         assert "levy" not in json.dumps(vb.expr_to_json(e))
 
 
+def test_describe_marks_a_foreign_levy_triple():
+    """Two spectral variograms on log1p, one on log1p's own triple and one on
+    frac_linear's, differ (gamma(2) = 2.214 against 0.8), and so do their
+    construction strings."""
+    own = vb.spectral_variogram(vb.catalog("log1p"))
+    carrier = vb.with_levy(vb.catalog("log1p"), vb.catalog("frac_linear", {"lam": 1.0}).levy)
+    foreign = vb.spectral_variogram(carrier)
+    assert own.construction == "spectral_variogram(log1p())"
+    assert foreign.construction.startswith("spectral_variogram(with_levy(log1p(), levy(")
+    assert foreign.construction != own.construction
+
+
+def test_describe_tells_foreign_levy_triples_apart():
+    log1p = vb.catalog("log1p")
+    nodes = [log1p, vb.with_levy(log1p, log1p.levy), vb.with_levy(log1p, None),
+             vb.with_levy(log1p, vb.catalog("exp_one_minus", {"a": 1.5}).levy),
+             vb.with_levy(log1p, vb.catalog("exp_one_minus", {"a": 2.5}).levy),
+             vb.with_levy(log1p, vb.LevyTriple(drift=0.5, constant=0.25)),
+             vb.with_levy(log1p, vb.catalog("frac_linear", {"lam": 1.0}).levy),
+             vb.with_levy(log1p, vb.catalog("frac_linear", {"lam": 2.0}).levy)]
+    text = [vb.describe(e) for e in nodes]
+    assert text[0] == text[1] == "log1p()"
+    assert len(set(text[1:])) == len(nodes) - 1
+    # an operation node rebuilds without a triple, so any triple is marked
+    op = vb.affine(vb.catalog("power", {"a": 1.0}), scale=2.0)
+    assert vb.describe(op) == "affine(power(a=1), shift=0, scale=2)"
+    assert vb.describe(vb.with_levy(op, vb.catalog("power", {"a": 0.5}).levy)
+                       ).startswith("with_levy(affine(power(a=1), shift=0, scale=2), levy(")
+
+
 @pytest.mark.parametrize("levy", [
     5, [0.0], {"drift": "x"}, {"drift": -1.0}, {"drift": True}, {"constant": "nan"},
     {"mass": 1.0}, {"atoms": 3}, {"atoms": [[1.0]]}, {"atoms": [[-1.0, 1.0]]},

@@ -543,6 +543,22 @@ def test_cnd_statistic_matches_a_qr_basis_eigh_reference(n, gamma):
     assert abs(rec.statistic - w[-1] / max(1.0, np.abs(g).max())) <= 1e-12
 
 
+def test_oracles_take_the_symmetric_part_of_an_uneven_kernel():
+    """Only a radial model's matrix is taken as it is; a callable with an
+    odd part is symmetrised before both eigensolves."""
+    pts = vb.PointSet(np.random.default_rng(4).uniform(0.0, 3.0, size=(12, 2)))
+    odd = lambda lags: 0.7 * np.asarray(lags)[..., 0]
+    gamma = lambda lags: abs_gamma(lags) + odd(lags)
+    cov = lambda lags: np.exp(-abs_gamma(lags)) + odd(lags)
+    g, c = vb.kernel_matrix(gamma, pts), vb.kernel_matrix(cov, pts)
+    q, _ = np.linalg.qr(np.vstack([np.eye(11), -np.ones((1, 11))]))
+    cnd = np.linalg.eigvalsh(q.T @ (0.5 * (g + g.T)) @ q)[-1] / np.abs(g).max()
+    pd = np.linalg.eigvalsh(0.5 * (c + c.T))[0] / max(1.0, np.abs(c).max())
+    assert abs(vb.cnd_check(gamma, pts).record("cnd").statistic - cnd) <= 1e-12
+    assert abs(vb.variogram_axioms(gamma, pts).record("cnd").statistic - cnd) <= 1e-12
+    assert abs(vb.pd_check(cov, pts).record("pd").statistic - pd) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [3, 30])
 def test_failing_cnd_witness_is_a_zero_sum_contrast_at_the_eigenvalue(n):
     rng = np.random.default_rng(3)
@@ -567,6 +583,61 @@ def test_contrast_block_is_the_dense_basis_projection(n):
     block = _contrast_block(s)
     assert np.array_equal(block, block.T)
     assert np.abs(block - b.T @ s @ b).max() <= 1e-13
+
+
+def test_contrast_block_matches_the_projection_under_shift_and_scale():
+    """A large constant S + 1e3 11' (which the contrasts annihilate) and a
+    badly scaled D S D, D spanning 1e-4..1e4, within 1e-13 max|S|."""
+    n = 64
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-1.0, 1.0, size=(n, n))
+    s = 0.5 * (s + s.T)
+    skewed = np.logspace(-4.0, 4.0, n)[:, None] * s * np.logspace(-4.0, 4.0, n)
+    b = vb.contrast_basis(n)
+    for m in (s + 1e3, 0.5 * (skewed + skewed.T)):
+        block = _contrast_block(m)
+        assert np.array_equal(block, block.T)
+        assert np.abs(block - b.T @ m @ b).max() <= 1e-13 * np.abs(m).max()
+
+
+class _NoBlas(np.ndarray):
+    """An array whose matrix products raise, and whose results stay _NoBlas."""
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("np.matmul called")
+        plain = lambda a: a.view(np.ndarray) if isinstance(a, np.ndarray) else a
+        args = [plain(a) for a in args]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(o) for o in kwargs["out"])
+        out = getattr(ufunc, method)(*args, **kwargs)
+        return out.view(_NoBlas) if isinstance(out, np.ndarray) else out
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in (np.dot, np.inner, np.vdot):
+            raise AssertionError(f"np.{func.__name__} called")
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_no_blas_guard_trips_on_matrix_products():
+    a = np.eye(3).view(_NoBlas)
+    for product in (lambda: a @ np.ones(3), lambda: np.ones(3) @ a,
+                    lambda: np.dot(a, a), lambda: np.inner(a, a),
+                    lambda: np.vdot(a, a), lambda: a.sum(axis=1) @ np.ones(3)):
+        with pytest.raises(AssertionError, match="called"):
+            product()
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_contrast_block_makes_no_blas_call(n):
+    """numpy's BLAS and scipy's LAPACK run separate thread pools, so the
+    projection before the eigensolver makes no numpy matrix product."""
+    rng = np.random.default_rng(n)
+    s = rng.uniform(-1.0, 1.0, size=(n, n))
+    s = 0.5 * (s + s.T)
+    block = _contrast_block(s.view(_NoBlas))
+    b = vb.contrast_basis(n)
+    assert np.abs(np.asarray(block) - b.T @ s @ b).max() <= 1e-13
 
 
 # ----------------------------------------------------------------------
@@ -596,6 +667,25 @@ def test_radial_kernel_matrix_is_the_lag_tensor_evaluation(name, n):
     rng = np.random.default_rng(n)
     pts = vb.PointSet(rng.uniform(-2.0, 2.0, size=(n, model.d)))
     assert np.array_equal(vb.kernel_matrix(model, pts), model(pts.lags()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+@pytest.mark.parametrize("name", sorted(RADIAL_MODELS))
+def test_radial_kernel_matrix_is_bitwise_symmetric(name, n):
+    """So the oracles take it as its own symmetric part."""
+    model = RADIAL_MODELS[name]()
+    rng = np.random.default_rng(100 + n)
+    pts = vb.PointSet(rng.uniform(-2.0, 2.0, size=(n, model.d)))
+    g = vb.kernel_matrix(model, pts)
+    assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("name", sorted(RADIAL_MODELS))
+def test_radial_evenness_record_is_a_pass_at_zero(name):
+    model = RADIAL_MODELS[name]()
+    pts = vb.PointSet(np.random.default_rng(9).uniform(-2.0, 2.0, size=(12, model.d)))
+    rec = vb.variogram_axioms(model, pts).record("evenness")
+    assert (rec.verdict, rec.statistic, rec.witness) == ("pass", 0.0, None)
 
 
 @pytest.mark.parametrize("block", [1, 5, 9, 100])

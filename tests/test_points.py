@@ -115,6 +115,17 @@ def test_csv_error_is_the_first_bad_cell(tmp_path, text, message):
     assert _read_error(tmp_path, text) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1\n\n1\nabc\n", "row 4, column 'x1': could not parse 'abc' as a number"),
+    ("\nx1,x2\n1,2\n,\n3\n", "row 5 has 1 fields, expected 2"),
+    ("x1,x2\n\n\n1,inf\n", "row 4, column 'x2': value must be finite"),
+    ('x1,x2\n"1\n",2\n3,abc\n', "row 4, column 'x2': could not parse 'abc' as a number"),
+], ids=["blank", "leading-and-comma-only", "two-blank", "quoted-newline"])
+def test_csv_error_names_the_line_in_the_file(tmp_path, text, message):
+    """Blank lines, and lines inside a quoted cell, count toward the row."""
+    assert _read_error(tmp_path, text) == message
+
+
 def test_csv_cells_with_surrounding_spaces(tmp_path):
     # str.strip also drops the separators \x1c-\x1f, which float() keeps
     path = tmp_path / "sites.csv"
