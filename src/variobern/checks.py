@@ -16,9 +16,10 @@ Every check reduces to finite linear algebra or finite differencing:
 * one BLAS runtime from kernel assembly to the eigensolver: numpy and scipy
   each bundle an OpenBLAS with its own thread pool, and numpy's workers keep
   spinning after a matrix product while scipy's LAPACK runs (on two cores
-  the eigensolve then takes about twice as long), so nothing in between
-  calls numpy's BLAS (``@``, dot, solve): the reflector's products are row
-  sums;
+  the eigensolve then takes about twice as long), so the oracles call no
+  numpy BLAS (``@``, dot, solve) on a kernel matrix, not even for a witness
+  that the next oracle's eigensolver would follow: the reflector's products
+  are row sums and a quadratic form is an einsum;
 * a radial model's kernel matrix is filled bitwise symmetric, so it is its
   own symmetric part and its evenness gap is 0: neither is computed;
 * complete monotonicity and the Bernstein property are tested through the
@@ -274,6 +275,11 @@ def _symmetric_part(kernel, g: np.ndarray) -> np.ndarray:
     return g if _radial(kernel) else 0.5 * (g + g.T)
 
 
+def _quadratic_form(a: np.ndarray, m: np.ndarray) -> float:
+    """a' m a by einsum's own loops, not BLAS (see the module note)."""
+    return float(np.einsum("i,ij,j->", a, m, a))
+
+
 def _extreme_eigenpair(m: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """The k-th smallest eigenvalue of the symmetric m and its eigenvector.
 
@@ -326,9 +332,9 @@ def _cnd_record(g: np.ndarray, sym: np.ndarray, tol: float) -> CheckRecord:
 
     def witness():
         u = _reflector(n)
-        a = np.append(v, 0.0) - u * ((u[:-1] @ v) / u[-1])  # a = B v
+        a = np.append(v, 0.0) - u * (u[0] * v.sum() / u[-1])  # a = B v
         a = a - a.mean()  # enforce the zero-sum constraint exactly
-        return {"contrast": a.tolist(), "quadratic_form": float(a @ sym @ a),
+        return {"contrast": a.tolist(), "quadratic_form": _quadratic_form(a, sym),
                 "eigenvalue": lam, "scale": scale}
 
     return _record("cnd", lam <= tol * scale, lam / scale, tol, witness)
@@ -347,7 +353,7 @@ def _pd_record(c: np.ndarray, sym: np.ndarray, tol: float) -> CheckRecord:
     scale = _scale(c)
     lam, a = _extreme_eigenpair(sym, 0)
     return _record("pd", lam >= -tol * scale, lam / scale, tol, lambda: {
-        "weights": a.tolist(), "quadratic_form": float(a @ sym @ a),
+        "weights": a.tolist(), "quadratic_form": _quadratic_form(a, sym),
         "eigenvalue": lam, "scale": scale})
 
 

@@ -640,6 +640,25 @@ def test_contrast_block_makes_no_blas_call(n):
     assert np.abs(np.asarray(block) - b.T @ s @ b).max() <= 1e-13
 
 
+@pytest.mark.parametrize("kernel", [
+    cubic_gamma, vb.make_variogram(vb.fprod(*[vb.catalog("exp_one_minus", {"a": 1.0})] * 2),
+                                   d=2)], ids=["callable", "radial"])
+def test_failing_oracles_make_no_blas_call(monkeypatch, kernel):
+    """Witnesses included: the next oracle's eigensolver would follow them."""
+    from variobern import checks
+    real = checks.kernel_matrix
+    monkeypatch.setattr(checks, "kernel_matrix", lambda k, p: real(k, p).view(_NoBlas))
+    pts = vb.PointSet(np.random.default_rng(5).uniform(0.0, 3.0, size=(30, 2)))
+    g = real(kernel, pts)
+    for rep, key in ((vb.cnd_check(kernel, pts), "contrast"),
+                     (vb.variogram_axioms(kernel, pts), "contrast"),
+                     (vb.pd_check(lambda h: -np.asarray(kernel(h)), pts), "weights")):
+        w = rep.checks[-1].witness
+        a = np.array(w[key])
+        form = a @ (g if key == "contrast" else -g) @ a
+        assert abs(w["quadratic_form"] - form) <= 1e-12 * w["scale"]
+
+
 # ----------------------------------------------------------------------
 # radial models: one evaluation per site pair
 
