@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .atoms import ALIASES, CBF_TABLE, COMPLEX_ATOMS, REGISTRY, _number, validate_params
 from .errors import (
@@ -542,6 +541,8 @@ def levy_eval(triple: LevyTriple, x):
 def _quiet_quadrature():
     # quadrature quality is judged from the returned error estimates, so
     # convergence warnings would only duplicate the raised exceptions
+    from scipy.integrate import IntegrationWarning
+
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         yield
@@ -554,6 +555,8 @@ def _integral(pieces, gate: float, error: type, message: str) -> float:
     estimate is at most gate * max(1, |sum|); message may name the sum as
     {value} and the error estimate as {bound}.
     """
+    from scipy.integrate import quad
+
     total = bound = 0.0
     with _quiet_quadrature():
         for sign, f, a, b, kw in pieces:

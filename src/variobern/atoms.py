@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import ParameterError
 
@@ -120,6 +119,8 @@ def validate_params(spec: AtomSpec, params: dict) -> dict:
 def _exp_scaled_upper_gamma(nu: float, z: np.ndarray) -> np.ndarray:
     """e^z * Gamma(nu; z) for z > 0, switching to the asymptotic series at
     z >= 50 where the direct product would lose the exponential scaling."""
+    from scipy import special as sc
+
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = z < 50.0
@@ -139,6 +140,8 @@ def _exp_scaled_upper_gamma(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _matern_body(x: np.ndarray, p: dict) -> np.ndarray:
+    from scipy import special as sc
+
     a, nu = p["alpha"], p["nu"]
     z = a * np.sqrt(x)
     out = np.empty_like(z)
@@ -248,6 +251,21 @@ _register(AtomSpec(
                     "atoms": [(p["a"], 1.0)] if p["a"] > 0 else []},
 ))
 
+def _power_levy(p: dict) -> dict:
+    if p["a"] == 1.0:
+        return {"drift": 1.0, "constant": 0.0, "atoms": []}
+    # scipy's gamma, not math.gamma: the two differ in the last bit for most a
+    from scipy import special as sc
+
+    return {"drift": 0.0, "constant": 0.0,
+            "density": {"op": "product", "args": [
+                {"atom": "const",
+                 "params": {"c": p["a"] / sc.gamma(1.0 - p["a"])}},
+                {"op": "power", "alpha": -1.0 - p["a"],
+                 "args": [{"atom": "power", "params": {"a": 1.0}}]},
+            ]}}
+
+
 _register(AtomSpec(
     name="power",
     group="cbf",
@@ -258,17 +276,7 @@ _register(AtomSpec(
     zero=lambda p: 0.0,
     inf=lambda p: math.inf,
     tags=lambda p: frozenset({"CBF"}),
-    levy=lambda p: (
-        {"drift": 1.0, "constant": 0.0, "atoms": []}
-        if p["a"] == 1.0
-        else {"drift": 0.0, "constant": 0.0,
-              "density": {"op": "product", "args": [
-                  {"atom": "const",
-                   "params": {"c": p["a"] / sc.gamma(1.0 - p["a"])}},
-                  {"op": "power", "alpha": -1.0 - p["a"],
-                   "args": [{"atom": "power", "params": {"a": 1.0}}]},
-              ]}}
-    ),
+    levy=_power_levy,
 ))
 
 _register(AtomSpec(

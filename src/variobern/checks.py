@@ -26,12 +26,15 @@ Every check reduces to finite linear algebra or finite differencing:
   alternating signs of Newton divided differences, never through symbolic
   derivatives, so tabulated kernels work too;
 * the structural checks (shape, subadditivity, periodicity, eventual
-  constancy) are grid programs over the same tolerance conventions.
+  constancy) are grid programs over the same tolerance conventions;
+* scipy is imported inside the function that calls it (the eigensolver,
+  the period search's minimiser): importing it at module scope cost every
+  command of the package close to a second of start-up.
 
 All tolerances are relative to an explicit scale and echoed in the report,
 so multiplying a kernel by a positive constant never flips a verdict. One
-policy holds for every oracle: a tolerance that is not positive raises
-ParameterError; an evaluation that raises or returns non-finite values gives
+policy holds for every oracle: a tolerance that is not positive and finite
+raises ParameterError (a NaN or infinite one would turn a verdict round); an evaluation that raises or returns non-finite values gives
 an inconclusive record; and only a failing record carries a witness (except
 the annulus probe, whose pass reports the plateau it found).
 """
@@ -41,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from .errors import ParameterError, VarioBernError
 from .models import StationaryCovariance, Variogram
@@ -134,8 +135,8 @@ def _inconclusive(name: str, tol: float, exc: Exception) -> CheckRecord:
 
 def _frame(check: str, tol: float, **echo) -> dict:
     """The tolerance gate of every oracle and the config its report echoes."""
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ParameterError("tol must be positive and finite")
     return {"check": check, "tol": tol, **echo}
 
 
@@ -286,6 +287,8 @@ def _extreme_eigenpair(m: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     Kernel matrices are finite by construction, so the finiteness scan is
     skipped; the MRRR driver computes the one pair without the others.
     """
+    import scipy.linalg
+
     w, v = scipy.linalg.eigh(m, subset_by_index=[k, k], driver="evr",
                              check_finite=False)
     return float(w[0]), v[:, 0]
@@ -586,8 +589,8 @@ def detect_period(gamma, search_radius: float, tol: float = 1e-8,
     The shift verification is what rejects spurious near-origin minima of
     smooth aperiodic kernels.
     """
-    if search_radius <= 0 or tol <= 0:
-        raise ParameterError("search_radius and tol must be positive")
+    if not (0 < search_radius < np.inf and 0 < tol < np.inf):
+        raise ParameterError("search_radius and tol must be positive and finite")
     unit = np.zeros(d)
     unit[axis] = 1.0
 
@@ -611,6 +614,8 @@ def detect_period(gamma, search_radius: float, tol: float = 1e-8,
     for idx in candidates[:16]:
         if m[idx] > np.sqrt(tol) * scale:
             break  # sorted: nothing deeper remains
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda t: abs(float(along(t)[0]) - gamma0),
             bracket=None, bounds=(max(ts[idx] - step, 0.0), ts[idx] + step),

@@ -73,6 +73,8 @@ def _parse_grid_spec(spec: str, d: int) -> np.ndarray:
             lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
         except ValueError as exc:
             raise VarioBernError(f"bad grid range {part!r}: {exc}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise VarioBernError(f"bad grid range {part!r}: lo and hi must be finite")
         if n < 1:
             raise VarioBernError(f"bad grid range {part!r}: need n >= 1")
         axes.append(np.linspace(lo, hi, n))

@@ -19,6 +19,10 @@ Each result carries the kriging variance (Cressie, *Statistics for Spatial
 Data*, 1993, section 3.2) and the residual of its bordered system; on either
 path a residual above 1e-6 * max(1, max|rhs|) raises DegenerateSystemError.
 
+The sparse path imports scipy (neighbour search, sparse storage, SuperLU)
+inside the functions that use it, and the dense path needs only numpy, so a
+dense command never pays scipy's import, most of its start-up time.
+
 Simulation factorizes the covariance Gram matrix by eigendecomposition,
 repairing tolerance-level negative eigenvalues with a recorded diagonal
 shift, and draws each replicate from its own seed stream derived from
@@ -31,9 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from .checks import kernel_matrix
 from .errors import DegenerateSystemError, ParameterError
@@ -113,6 +114,9 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
         return kernel_matrix(model, pts)
     if mode != "sparse":
         raise ParameterError("mode must be dense | sparse")
+    from scipy.sparse import coo_matrix
+    from scipy.spatial import cKDTree
+
     radius = _require_sparse_support(model)
     y = pts.coords @ model.anisotropy.T
     pairs = cKDTree(y).query_pairs(radius, output_type="ndarray")
@@ -139,6 +143,11 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
 # kept; K is positive definite for a valid covariance on distinct sites, and
 # the residual gate of krige_many catches a pivot this lets through badly
 _DIAG_PIVOT_THRESH = 0.01
+
+
+def splu(*args, **kw):
+    from scipy.sparse.linalg import splu
+    return splu(*args, **kw)
 
 
 def _check_sites(pts: PointSet) -> None:
@@ -219,8 +228,11 @@ def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
     info records the diagonal shift used to repair tolerance-level negative
     eigenvalues, the smallest eigenvalue of the Gram matrix and the
     condition number of the shifted one (inf when it is singular). A Gram
-    matrix indefinite beyond tolerance is an error, not repaired silently.
+    matrix indefinite beyond tolerance is an error, not repaired silently;
+    tol must be positive and finite, as in the oracles.
     """
+    if not 0 < tol < math.inf:
+        raise ParameterError("tol must be positive and finite")
     gram = build_gamma_matrix(spec.model, spec.sites, "dense")
     gram = 0.5 * (gram + gram.T)
     scale = max(1.0, float(np.abs(gram).max()))

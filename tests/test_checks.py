@@ -416,6 +416,31 @@ def test_every_oracle_rejects_a_nonpositive_tol(oracle, tol):
         _every_oracle(abs_gamma, plateau)[oracle](tol)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_every_oracle_rejects_a_non_finite_tol(oracle, tol):
+    plateau = lambda x: np.minimum(np.asarray(x, dtype=float), 1.5)
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        _every_oracle(abs_gamma, plateau)[oracle](tol)
+
+
+def test_an_infinite_tol_cannot_pass_a_non_cnd_product():
+    """exp_one_minus(x)^2 is not CND: an infinite tol used to pass it."""
+    product = vb.make_variogram(
+        vb.fprod(*[vb.catalog("exp_one_minus", {"a": 1.0})] * 2), d=1)
+    sites = vb.PointSet(np.linspace(0.0, 4.0, 9)[:, None])
+    assert vb.cnd_check(product, sites).verdict == "fail"
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        vb.cnd_check(product, sites, tol=math.inf)
+
+
+@pytest.mark.parametrize("radius, tol", [(math.inf, 1e-8), (math.nan, 1e-8),
+                                         (10.0, math.inf), (10.0, math.nan)])
+def test_detect_period_rejects_non_finite_arguments(radius, tol):
+    with pytest.raises(ParameterError, match="positive and finite"):
+        vb.detect_period(abs_gamma, search_radius=radius, tol=tol)
+
+
 @pytest.mark.parametrize("oracle", ORACLES)
 def test_every_oracle_is_inconclusive_on_nonfinite_values(oracle):
     """Finite at the origin only, so the origin record of the axioms passes

@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, JSON payloads, CSV formats, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,23 @@ def test_grid_axis_count_mismatch(capsys):
     assert "2-dimensional" in err
 
 
+@pytest.mark.parametrize("spec", ["1:inf:2,1:2:2", "nan:1:2,1:2:2", "1:2:2,-inf:1:3"])
+@pytest.mark.parametrize("command", ["grid", "krige"])
+def test_grid_spec_rejects_a_non_finite_bound(capsys, tmp_path, command, spec):
+    """A non-finite lo or hi is named as a bad range, before any warning."""
+    sites = write_sites(tmp_path / "s.csv", [[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
+    argv = ["--model", model_arg(vb.ma_product(1.0, 1.0, d=2)), "--grid", spec]
+    if command == "krige":
+        argv += ["--points", sites]
+    bad = next(part for part in spec.split(",")
+               if "inf" in part or "nan" in part)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad grid range {bad!r}: lo and hi must be finite\n"
+
+
 # ----------------------------------------------------------------------
 # krige
 
@@ -386,6 +404,15 @@ def test_simulate_different_seed_changes_output(capsys, tmp_path):
     assert strip(out1) != strip(out2)
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_simulate_rejects_a_tol_that_is_not_positive_and_finite(capsys, tmp_path, tol):
+    sites = write_sites(tmp_path / "s.csv", np.linspace(0, 4, 5)[:, None])
+    code, out, err = run(capsys, "simulate", "--model", EXP_COV,
+                         "--points", sites, "--tol", tol)
+    assert code == 2
+    assert out == "" and "tol must be positive and finite" in err
+
+
 def test_simulate_empty_bin_prints_nan(capsys, tmp_path):
     sites = write_sites(tmp_path / "s.csv", [[0.0], [4.0]])
     code, out, _ = run(capsys, "simulate", "--model", EXP_COV,
@@ -452,6 +479,24 @@ def test_validate_rejects_a_nonpositive_tol(capsys, tmp_path, model, checks):
                          "--points", sites, "--checks", checks, "--tol", "-0.001")
     assert code == 2
     assert out == "" and "tol must be positive" in err
+
+
+@pytest.mark.parametrize("model, tol", [
+    # an infinite tol used to pass a non-CND product (exit 0)
+    (vb.make_variogram(vb.fprod(*[vb.catalog("exp_one_minus", {"a": 1.0})] * 2), d=1),
+     "inf"),
+    # a NaN tol used to fail a certified variogram (exit 1)
+    (vb.ma_product(1.0, 2.0, d=1), "nan"),
+])
+def test_validate_rejects_a_non_finite_tol(capsys, tmp_path, model, tol):
+    sites = write_sites(tmp_path / "s.csv", np.linspace(0, 5, 8)[:, None])
+    code, out, err = run(capsys, "validate", "--model", model_arg(model),
+                         "--points", sites)
+    assert code == (0 if tol == "nan" else 1)
+    code, out, err = run(capsys, "validate", "--model", model_arg(model),
+                         "--points", sites, "--tol", tol)
+    assert code == 2
+    assert out == "" and "tol must be positive and finite" in err
 
 
 @pytest.mark.parametrize("ctor", ["difference_kernel", "sum_kernel"])

@@ -266,6 +266,29 @@ def test_simulate_rejects_indefinite_model():
         vb.simulate_field(spec)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_simulate_rejects_a_non_finite_tol(tol):
+    """An infinite or NaN tol used to shift an indefinite Gram matrix
+    (1 - |x| on 20 sites) until it looked valid and draw from it."""
+    cov = vb.covariance_from_variogram(
+        vb.make_variogram(vb.catalog("power", {"a": 1.0}), d=1), 1.0)
+    pts = vb.PointSet(np.linspace(0.0, 5.0, 20)[:, None])
+    spec = vb.SimulationSpec(cov, pts, seed=0, n_replicates=2)
+    with pytest.raises(DegenerateSystemError, match="indefinite"):
+        vb.simulate_field(spec)
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        vb.simulate_field(spec, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3])
+def test_simulate_rejects_a_nonpositive_tol(exp_model, tol):
+    pts = vb.PointSet(np.linspace(0.0, 3.0, 6)[:, None])
+    spec = vb.SimulationSpec(exp_model, pts, seed=0, n_replicates=2)
+    assert vb.simulate_field(spec)[1]["diag_shift"] == 0.0
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        vb.simulate_field(spec, tol=tol)
+
+
 def test_simulation_spec_gate(exp_model):
     pts = vb.PointSet(np.zeros((1, 1)))
     with pytest.raises(ParameterError):
