@@ -251,6 +251,7 @@ _register(AtomSpec(
                     "atoms": [(p["a"], 1.0)] if p["a"] > 0 else []},
 ))
 
+
 def _power_levy(p: dict) -> dict:
     if p["a"] == 1.0:
         return {"drift": 1.0, "constant": 0.0, "atoms": []}

@@ -34,8 +34,9 @@ Every check reduces to finite linear algebra or finite differencing:
 All tolerances are relative to an explicit scale and echoed in the report,
 so multiplying a kernel by a positive constant never flips a verdict. One
 policy holds for every oracle: a tolerance that is not positive and finite
-raises ParameterError (a NaN or infinite one would turn a verdict round); an evaluation that raises or returns non-finite values gives
-an inconclusive record; and only a failing record carries a witness (except
+raises ParameterError (a NaN or infinite one would turn a verdict round);
+an evaluation that raises or returns non-finite values gives an
+inconclusive record; and only a failing record carries a witness (except
 the annulus probe, whose pass reports the plateau it found).
 """
 

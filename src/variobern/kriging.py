@@ -145,6 +145,7 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
 _DIAG_PIVOT_THRESH = 0.01
 
 
+# SuperLU, imported by the first sparse solve; a module name tests can replace
 def splu(*args, **kw):
     from scipy.sparse.linalg import splu
     return splu(*args, **kw)
