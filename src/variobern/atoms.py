@@ -255,13 +255,14 @@ _register(AtomSpec(
 def _power_levy(p: dict) -> dict:
     if p["a"] == 1.0:
         return {"drift": 1.0, "constant": 0.0, "atoms": []}
-    # scipy's gamma, not math.gamma: the two differ in the last bit for most a
-    from scipy import special as sc
-
+    # math.gamma, not scipy's, so that building the exponential covariance
+    # (power(1/2)) imports no scipy. Both are within 5 ulp of the exact
+    # a/G(1-a), and nothing reads the last bits: _foreign_levy rebuilds both
+    # sides of its comparison here, and JSON never writes a catalog triple
     return {"drift": 0.0, "constant": 0.0,
             "density": {"op": "product", "args": [
                 {"atom": "const",
-                 "params": {"c": p["a"] / sc.gamma(1.0 - p["a"])}},
+                 "params": {"c": p["a"] / math.gamma(1.0 - p["a"])}},
                 {"op": "power", "alpha": -1.0 - p["a"],
                  "args": [{"atom": "power", "params": {"a": 1.0}}]},
             ]}}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -437,9 +438,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_negative_grid(argv: list[str]) -> list[str]:
+    """'--grid V' as '--grid=V' when V starts with '-' and a digit or '.',
+    a range with a negative lower bound that argparse would take for a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[0-9.]", tok):
+            out[-1] = f"--grid={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_grid(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except VarioBernError as exc:

@@ -25,8 +25,10 @@ dense command never pays scipy's import, most of its start-up time.
 
 Simulation factorizes the covariance Gram matrix by eigendecomposition,
 repairing tolerance-level negative eigenvalues with a recorded diagonal
-shift, and draws each replicate from its own seed stream derived from
-(seed, replicate index) so results never depend on scheduling.
+shift. Replicate i is drawn from its own seed stream, derived from
+(seed, i), and one matrix product colours each fixed-size block of
+replicates, so a replicate never depends on scheduling or on how many
+replicates are drawn.
 """
 
 from __future__ import annotations
@@ -222,10 +224,20 @@ def ordinary_kriging(model, pts: PointSet, target, mode: str = "dense") -> Krigi
     return krige_many(model, pts, np.reshape(target, (1, pts.d)), mode)[0]
 
 
+# replicates coloured per matrix product; a BLAS product's rounding depends
+# on its shape, so every product has this many rows, the last zero-padded,
+# and a replicate has the same bits whatever the replicate count
+_COLOUR_ROWS = 64
+
+
 def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
     """Draw Gaussian replicates with the model's Gram matrix as covariance.
 
-    Returns (replicates, info): replicates has shape (n_replicates, n sites);
+    Returns (replicates, info): replicates has shape (n_replicates, n sites),
+    and row i is F g_i: F = V sqrt(diag(w) + shift) from the Gram matrix's
+    eigenpairs (w, V), and g_i the standard normals of the stream
+    default_rng(SeedSequence((seed, i))). One matrix product colours each
+    block of _COLOUR_ROWS rows.
     info records the diagonal shift used to repair tolerance-level negative
     eigenvalues, the smallest eigenvalue of the Gram matrix and the
     condition number of the shifted one (inf when it is singular). A Gram
@@ -246,11 +258,15 @@ def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
         )
     shift = max(0.0, -lam_min)
     factor = v * np.sqrt(w + shift)
-    n = spec.sites.n
-    out = np.empty((spec.n_replicates, n))
-    for i in range(spec.n_replicates):
+    r, b = spec.n_replicates, _COLOUR_ROWS
+    g = np.zeros((-(-r // b) * b, spec.sites.n))
+    for i in range(r):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        out[i] = factor @ rng.standard_normal(n)
+        rng.standard_normal(out=g[i])
+    out = np.empty_like(g)
+    for s in range(0, len(g), b):
+        np.matmul(g[s:s + b], factor.T, out=out[s:s + b])
+    out = out[:r]
     # (w[-1] + shift) / (w[0] + shift): a shift makes the denominator 0
     cond = float(w[-1]) / lam_min if lam_min > 0.0 else math.inf
     return out, {"diag_shift": shift, "seed": spec.seed,
@@ -278,16 +294,19 @@ def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ParameterError("bin edges must be strictly increasing")
-    # per-pair sums of (Z_i - Z_j)^2 / 2 over replicates, one site row at a
-    # time in the pair order of triu_indices, so temporaries are O(R n); the
-    # differences are taken exactly, not from Gram sums that cancel
+    # per-pair sums of (Z_i - Z_j)^2 over replicates, one site row at a time
+    # in the pair order of triu_indices: the differences are taken exactly,
+    # not from Gram sums that cancel, into one (n, R) buffer, and their
+    # squares are summed straight into the pair sums
     zt = np.ascontiguousarray(z.T)
+    buf = np.empty_like(zt)
     sums = np.empty(iu.size)
     start = 0
     for i in range(pts.n - 1):
-        diff = zt[i + 1:] - zt[i]
-        sums[start:start + diff.shape[0]] = 0.5 * np.einsum("jr,jr->j", diff, diff)
+        diff = np.subtract(zt[i + 1:], zt[i], out=buf[i + 1:])
+        np.einsum("jr,jr->j", diff, diff, out=sums[start:start + diff.shape[0]])
         start += diff.shape[0]
+    sums *= 0.5
     rows = []
     for b in range(edges.size - 1):
         lo, hi = float(edges[b]), float(edges[b + 1])

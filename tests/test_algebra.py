@@ -430,6 +430,48 @@ def test_expr_json_writes_no_levy_a_node_rebuilds():
         assert "levy" not in json.dumps(vb.expr_to_json(e))
 
 
+_POWER_A = np.linspace(0.01, 0.99, 981)
+
+
+def _power_density_constant(a: float) -> float:
+    density = vb.catalog("power", {"a": a}).levy.density
+    return density.children[0].params_dict["c"]
+
+
+def test_power_levy_constant_is_scipys_to_a_few_ulp():
+    """a / Gamma(1 - a) from math.gamma: scipy.special.gamma differs from it
+    by at most 5 ulp on this grid (7 on a ten times finer one)."""
+    from scipy import special as sc
+
+    c = np.array([_power_density_constant(float(a)) for a in _POWER_A])
+    ref = _POWER_A / sc.gamma(1.0 - _POWER_A)
+    assert (np.abs(c - ref) <= 8 * np.spacing(ref)).all()
+
+
+def test_power_levy_constant_is_exact_to_a_few_ulp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(120):
+        exact = np.array([float(mpmath.mpf(float(a)) / mpmath.gamma(1 - mpmath.mpf(float(a))))
+                          for a in _POWER_A])
+    c = np.array([_power_density_constant(float(a)) for a in _POWER_A])
+    assert (np.abs(c - exact) <= 5 * np.spacing(exact)).all()
+
+
+def test_exponential_covariance_json_carries_no_levy_triple():
+    """The power(1/2) atom rebuilds its own triple on load: none is written,
+    and the reloaded atom's triple is not foreign."""
+    from variobern.algebra import _foreign_levy
+
+    model = vb.exponential_covariance(0.5, d=2)
+    text = json.dumps(vb.model_to_json(model))
+    assert "levy" not in text
+    back = vb.model_from_json(json.loads(text))
+    assert back.profile == model.profile
+    power = back.profile.children[1]
+    assert power.name == "power" and power.levy.density is not None
+    assert not _foreign_levy(power) and not _foreign_levy(model.profile.children[1])
+
+
 def test_describe_marks_a_foreign_levy_triple():
     """Two spectral variograms on log1p, one on log1p's own triple and one on
     frac_linear's, differ (gamma(2) = 2.214 against 0.8), and so do their

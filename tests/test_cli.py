@@ -294,6 +294,34 @@ def test_grid_spec_rejects_a_non_finite_bound(capsys, tmp_path, command, spec):
     assert err == f"error: bad grid range {bad!r}: lo and hi must be finite\n"
 
 
+@pytest.mark.parametrize("command", ["grid", "krige"])
+def test_grid_range_with_a_negative_lower_bound_may_follow_as_its_own_token(
+        capsys, tmp_path, command):
+    """'--grid -1:1:2,...' reads as '--grid=-1:1:2,...', not as a flag."""
+    sites = write_sites(tmp_path / "s.csv", [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                        [1.0, 2.0, 3.0])
+    argv = [command, "--model", model_arg(vb.ma_product(1.0, 1.0, d=2))]
+    if command == "krige":
+        argv += ["--points", sites]
+    outs = []
+    for spec in (["--grid", "-1:1:2,0:1:2"], ["--grid=-1:1:2,0:1:2"],
+                 ["--grid", "-.5:1:2,0:1:2"]):
+        code, out, err = run(capsys, *argv, *spec, "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        outs.append((tmp_path / "o").read_text())
+    assert outs[0] == outs[1] != outs[2]
+    assert '"grid": "-1:1:2,0:1:2"' in outs[0]
+
+
+@pytest.mark.parametrize("command", ["grid", "krige"])
+def test_grid_followed_by_a_flag_is_still_a_usage_error(capsys, command):
+    argv = [command, "--model", EXP_COV, "--points", "s.csv"][:3 if command == "grid" else 5]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--grid", "--out", "x"])
+    assert exc.value.code == 2
+    assert "argument --grid: expected one argument" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # krige
 

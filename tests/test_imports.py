@@ -47,7 +47,8 @@ def inputs(tmp_path):
     vb.write_points_csv(vb.PointSet(coords, np.sin(coords).sum(axis=1)),
                         tmp_path / "sites.csv")
     for name, model in (("ma_product", vb.ma_product(0.5, 1.5, d=2)),
-                        ("wendland", vb.wendland(2.5, 2, 2))):
+                        ("wendland", vb.wendland(2.5, 2, 2)),
+                        ("exponential", vb.exponential_covariance(0.5, d=2))):
         (tmp_path / f"{name}.json").write_text(json.dumps(vb.model_to_json(model)))
     return lambda name: str(tmp_path / name)
 
@@ -78,3 +79,24 @@ def test_validate_on_a_radial_variogram_loads_only_the_eigensolver(inputs, tmp_p
     subpackages = {m.split(".")[1] for m in modules if "." in m}
     assert code == 0 and "linalg" in subpackages
     assert not subpackages & {"integrate", "optimize", "sparse", "spatial", "special"}
+
+
+def test_simulate_and_grid_on_the_exponential_covariance_load_no_scipy(inputs, tmp_path):
+    """exp(-t x^(1/2)) builds power(1/2)'s Levy triple, whose constant
+    a / Gamma(1 - a) comes from math.gamma, not scipy.special."""
+    code, modules = fresh_run("simulate", "--model", inputs("exponential.json"),
+                              "--points", inputs("sites.csv"), "--grid", "6",
+                              "--out", str(tmp_path / "field.csv"))
+    assert code == 0 and modules == set()
+    code, modules = fresh_run("grid", "--model", inputs("exponential.json"),
+                              "--grid", "-1:1:3,0:1:2", "--out", str(tmp_path / "grid.csv"))
+    assert code == 0 and modules == set()
+
+
+def test_validate_on_the_exponential_covariance_loads_no_special_functions(
+        inputs, tmp_path):
+    code, modules = fresh_run("validate", "--model", inputs("exponential.json"),
+                              "--points", inputs("sites.csv"),
+                              "--out", str(tmp_path / "out.json"))
+    assert code == 0
+    assert "scipy.linalg" in modules and "scipy.special" not in modules

@@ -222,6 +222,32 @@ def test_simulate_replicates_differ_and_seeds_differ(exp_model):
     assert not np.array_equal(a, b)
 
 
+def test_simulate_row_i_is_the_factor_times_stream_i():
+    """Replicate i colours the standard normals of SeedSequence((seed, i))."""
+    model = vb.exponential_covariance(0.5, d=2)
+    pts = vb.PointSet(np.random.default_rng(7).uniform(0, 5, size=(30, 2)))
+    z, info = vb.simulate_field(vb.SimulationSpec(model, pts, 41, 70))
+    gram = kriging.build_gamma_matrix(model, pts)
+    w, v = np.linalg.eigh(0.5 * (gram + gram.T))
+    factor = v * np.sqrt(w + info["diag_shift"])
+    assert z.shape == (70, 30)
+    for i, row in enumerate(z):
+        g = np.random.default_rng(np.random.SeedSequence((41, i))).standard_normal(pts.n)
+        np.testing.assert_allclose(row, factor @ g, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 63, 64, 65, 130])
+def test_simulate_first_rows_do_not_depend_on_the_replicate_count(k):
+    """The first k replicates are the same bits for k and k + 5 replicates,
+    across the block size of the colouring product."""
+    model = vb.exponential_covariance(0.5, d=2)
+    pts = vb.PointSet(np.random.default_rng(8).uniform(0, 5, size=(40, 2)))
+    few, _ = vb.simulate_field(vb.SimulationSpec(model, pts, 12, k))
+    more, _ = vb.simulate_field(vb.SimulationSpec(model, pts, 12, k + 5))
+    assert few.shape == (k, 40)
+    assert np.array_equal(few, more[:k])
+
+
 def test_simulate_marginal_variance(exp_model):
     """Each site's sample variance matches the sill within Monte Carlo error."""
     pts = vb.PointSet(np.linspace(0, 4, 4)[:, None])
@@ -459,6 +485,22 @@ def test_empirical_variogram_matches_pair_array_formula(rng):
             assert gh == pytest.approx(float(sq[:, mask].mean()), rel=1e-12)
         else:
             assert math.isnan(gh)
+
+
+def test_empirical_variogram_is_bitwise_the_per_row_pair_sums(rng):
+    """Each bin's estimate is, to the bit, the mean of the per-row sums
+    0.5 * sum_r (z_j - z_i)^2 taken over pairs in triu_indices order."""
+    pts = vb.PointSet(rng.uniform(0, 4, size=(25, 2)))
+    z = rng.normal(size=(33, 25))
+    iu, ju = np.triu_indices(pts.n, k=1)
+    d = np.sqrt(((pts.coords[iu] - pts.coords[ju]) ** 2).sum(-1))
+    zt = np.ascontiguousarray(z.T)
+    sums = np.concatenate([0.5 * np.einsum("jr,jr->j", zt[i + 1:] - zt[i], zt[i + 1:] - zt[i])
+                           for i in range(pts.n - 1)])
+    rows = vb.empirical_variogram(z, pts, bins=5)
+    for b, (lo, hi, count, gh) in enumerate(rows):
+        mask = (d >= lo) & ((d <= hi) if b == len(rows) - 1 else (d < hi))
+        assert gh == float(sums[mask].sum() / (z.shape[0] * count))
 
 
 def test_empirical_variogram_memory_is_linear_in_replicates(rng):
