@@ -12,7 +12,6 @@ reads them.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import warnings
@@ -57,7 +56,6 @@ __all__ = [
 
 CONES = ("CM", "BF", "CBF", "S")
 
-COMBINE_RULES = ("power_mean", "arg_power_mean", "split_power", "geometric")
 DUALIZE_RULES = ("x_over_f", "f_over_x", "reciprocal")
 
 # substitutes used to evaluate ratio limits x/f(x), f(x)/x at the endpoints;
@@ -329,6 +327,25 @@ def compose(f: FunctionExpr, g: FunctionExpr) -> FunctionExpr:
     return _node("compose", children=(f, g))
 
 
+def _arg_power_mean(f: FunctionExpr, g: FunctionExpr, x: np.ndarray, a: float):
+    xa = x**a
+    return (_ev(f, xa) + _ev(g, xa)) ** (1.0 / a)
+
+
+# combine rule -> (alpha interval [lo, hi], whether alpha = 0 is excluded,
+# value at x of the children f, g for alpha a)
+_COMBINE = {
+    "power_mean": (-1.0, 1.0, True,
+                   lambda f, g, x, a: (_ev(f, x)**a + _ev(g, x)**a) ** (1.0 / a)),
+    "arg_power_mean": (-1.0, 1.0, True, _arg_power_mean),
+    "split_power": (0.0, 1.0, False,
+                    lambda f, g, x, a: _ev(f, x**a) * _ev(g, x ** (1.0 - a))),
+    "geometric": (0.0, 1.0, False,
+                  lambda f, g, x, a: _ev(f, x)**a * _ev(g, x) ** (1.0 - a)),
+}
+COMBINE_RULES = tuple(_COMBINE)
+
+
 def combine(f: FunctionExpr, g: FunctionExpr, rule: str, alpha: float) -> FunctionExpr:
     """Two-argument closure combinators on the complete Bernstein cone.
 
@@ -337,21 +354,17 @@ def combine(f: FunctionExpr, g: FunctionExpr, rule: str, alpha: float) -> Functi
       arg_power_mean  (f(x^a) + g(x^a))^(1/a),        a in [-1, 1] \\ {0}
       split_power     f(x^a) * g(x^(1-a)),            a in [0, 1]
       geometric       f(x)^a * g(x)^(1-a),            a in [0, 1]
+    The alpha intervals are enforced from the rule's row of _COMBINE.
     """
     alpha = float(alpha)
     if rule not in COMBINE_RULES:
         raise ParameterError(f"unknown combine rule '{rule}'; expected {COMBINE_RULES}")
-    if rule in ("power_mean", "arg_power_mean"):
-        if not (-1.0 <= alpha <= 1.0) or alpha == 0.0:
-            raise ParameterError(
-                f"combine rule '{rule}' requires alpha in [-1, 1] excluding 0 "
-                f"(got {alpha!r})"
-            )
-    else:
-        if not (0.0 <= alpha <= 1.0):
-            raise ParameterError(
-                f"combine rule '{rule}' requires alpha in [0, 1] (got {alpha!r})"
-            )
+    lo, hi, nonzero, _ = _COMBINE[rule]
+    if not lo <= alpha <= hi or (nonzero and alpha == 0.0):
+        raise ParameterError(
+            f"combine rule '{rule}' requires alpha in [{lo:g}, {hi:g}]"
+            f"{' excluding 0' if nonzero else ''} (got {alpha!r})"
+        )
     return _node("combine", name=rule, children=(f, g), alpha=alpha)
 
 
@@ -382,6 +395,26 @@ def _probably_zero(f: FunctionExpr) -> bool:
 def _sub_endpoints(x: np.ndarray) -> np.ndarray:
     out = np.where(x == 0.0, _ZERO_SUB, x)
     return np.where(np.isinf(out), _INF_SUB, out)
+
+
+def _exact_limit(e: FunctionExpr, x: float) -> float | None:
+    """The limit of e at x = 0 or inf, or None where it is not finite or only
+    approximated: dualize x/f(x), f(x)/x and uchiyama nodes substitute finite
+    points for the endpoints (_sub_endpoints). Below a spectral node only the
+    carrier's Levy density is searched, since its limits are 0 and m(0+)."""
+    nodes = [e]
+    while nodes:
+        g = nodes.pop()
+        if g.kind == "uchiyama" or (g.kind == "dualize" and g.name != "reciprocal"):
+            return None
+        if g.kind != "spectral":
+            nodes.extend(g.children)
+        elif g.children[0].levy.density is not None:
+            nodes.append(g.children[0].levy.density)
+    try:
+        return evaluate(e, x)
+    except EvaluationError:
+        return None
 
 
 def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
@@ -441,19 +474,7 @@ def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
         base = _clamp_roundoff(_ev(e.children[0], x))
         return base ** e.alpha
     if e.kind == "combine":
-        f, g = e.children
-        a = e.alpha
-        if e.name == "power_mean":
-            fv, gv = _ev(f, x), _ev(g, x)
-            return (fv**a + gv**a) ** (1.0 / a)
-        if e.name == "arg_power_mean":
-            xa = x**a
-            return (_ev(f, xa) + _ev(g, xa)) ** (1.0 / a)
-        if e.name == "split_power":
-            return _ev(f, x**a) * _ev(g, x ** (1.0 - a))
-        # geometric
-        fv, gv = _ev(f, x), _ev(g, x)
-        return fv**a * gv ** (1.0 - a)
+        return _COMBINE[e.name][3](*e.children, x, e.alpha)
     if e.kind == "dualize":
         (f,) = e.children
         if e.name == "reciprocal":
@@ -537,31 +558,23 @@ def levy_eval(triple: LevyTriple, x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-@contextlib.contextmanager
-def _quiet_quadrature():
-    # quadrature quality is judged from the returned error estimates, so
-    # convergence warnings would only duplicate the raised exceptions
-    from scipy.integrate import IntegrationWarning
-
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        yield
-
-
 def _integral(pieces, gate: float, error: type, message: str) -> float:
-    """Sum of signed quad pieces ``(sign, f, a, b, quad keywords)``.
+    """Sum of quad pieces ``(f, a, b, quad keywords)``.
 
     Raise ``error(message)`` unless the sum is finite and the summed error
     estimate is at most gate * max(1, |sum|); message may name the sum as
-    {value} and the error estimate as {bound}.
+    {value} and the error estimate as {bound}. Convergence warnings are
+    dropped: the error estimates judge the quadrature, so a warning would
+    only repeat the raised error.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     total = bound = 0.0
-    with _quiet_quadrature():
-        for sign, f, a, b, kw in pieces:
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for f, a, b, kw in pieces:
             value, err = quad(f, a, b, **kw)[:2]
-            total += sign * value
+            total += value
             bound += err
     if not np.isfinite(total) or bound > gate * max(1.0, abs(total)):
         raise error(message.format(value=total, bound=bound))
@@ -575,7 +588,7 @@ def _levy_moment_finite(density: FunctionExpr) -> bool:
     f = lambda t: min(2.0 * t, 1.0) * evaluate(density, t)
     kw = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
     try:
-        _integral([(1, f, 0.0, 0.5, kw), (1, f, 0.5, np.inf, kw)], 1e-4,
+        _integral([(f, 0.0, 0.5, kw), (f, 0.5, np.inf, kw)], 1e-4,
                   QuadratureError, "")
     except QuadratureError:
         return False
@@ -588,7 +601,7 @@ def _levy_integral(density: FunctionExpr, x: float) -> float:
     f = lambda t: -np.expm1(-x * t) * evaluate(density, t)
     kw = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
     knee = 1.0 / x
-    return _integral([(1, f, 0.0, knee, kw), (1, f, knee, np.inf, kw)], 1e-6,
+    return _integral([(f, 0.0, knee, kw), (f, knee, np.inf, kw)], 1e-6,
                      QuadratureError, f"Levy integral did not converge at x={x:g} "
                      "(estimate {value!r}, error bound {bound:g})")
 
@@ -646,8 +659,8 @@ def _spectral_value(f: FunctionExpr, w: float) -> float:
     knee = 1.0 / w
     kw = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
     return total + w * _integral(
-        [(1, lambda s: math.sin(s * w) * evaluate(m, s), 0.0, knee, kw),
-         (1, functools.partial(evaluate, m), knee, np.inf, dict(kw, weight="sin", wvar=w))],
+        [(lambda s: math.sin(s * w) * evaluate(m, s), 0.0, knee, kw),
+         (functools.partial(evaluate, m), knee, np.inf, dict(kw, weight="sin", wvar=w))],
         1e-7, QuadratureError, f"spectral quadrature did not converge at lag {w:g}")
 
 

@@ -140,57 +140,56 @@ def cmd_catalog(args) -> int:
 # ----------------------------------------------------------------------
 # validate
 
-_POINT_CHECKS = ("cnd", "pd", "axioms", "sqrt_subadditivity")
-_PROFILE_CHECKS = ("cm", "bernstein", "polya", "profile_shape",
-                   "eventual_constancy")
-CHECK_NAMES = _POINT_CHECKS + _PROFILE_CHECKS
+def _eventual_constancy(model, sites, tol: float, claimed: bool):
+    if not isinstance(model, models.StationaryCovariance) or \
+            not math.isfinite(model.support_radius):
+        raise VarioBernError(
+            "eventual_constancy needs a covariance model with a finite "
+            "support radius"
+        )
+    gamma = models.variogram_from_covariance(model)
+    r = model.support_radius
+    # only squared_norm certificates are dimension-free; a spherical or
+    # Wendland certificate is specific to its d and plateaus legitimately.
+    # A certificate the input only claims is put to the same test.
+    all_d = (model.certified or claimed) and model.mode == "squared_norm"
+    return checks.eventual_constancy_check(
+        gamma.norm_profile, inner=r, outer=3.0 * r, tol=tol,
+        all_d_certified=all_d)
+
+
+# check name -> runner(model, sites, tol, claimed), where sites() returns the
+# --points set; each runner looks its oracle up in checks when it runs, so a
+# wrapper set on the checks module later is the one called
+_CHECKS = {
+    "cnd": lambda m, sites, tol, _: checks.cnd_check(m, sites(), tol),
+    "pd": lambda m, sites, tol, _: checks.pd_check(m, sites(), tol),
+    "axioms": lambda m, sites, tol, _: checks.variogram_axioms(m, sites(), tol),
+    "sqrt_subadditivity": lambda m, sites, tol, _: checks.sqrt_subadditivity_check(
+        m, sites(), tol),
+    "cm": lambda m, sites, tol, _: checks.cm_check(m.profile, np.logspace(-2, 2, 33), tol=tol),
+    "bernstein": lambda m, sites, tol, _: checks.bernstein_check(
+        m.profile, np.logspace(-2, 2, 33), tol=tol),
+    "polya": lambda m, sites, tol, _: checks.polya_check(
+        lambda t: m.norm_profile(np.abs(t)), np.linspace(0.05, 8.0, 64), tol=tol),
+    # the shape theorem constrains the squared-radius profile
+    "profile_shape": lambda m, sites, tol, _: checks.profile_shape_check(
+        lambda x: m.norm_profile(np.sqrt(x)), np.linspace(0.0, 8.0, 65), tol=tol),
+    "eventual_constancy": _eventual_constancy,
+}
 
 
 def _run_check(name: str, model, pts, tol: float, claimed: bool):
-    if name in _POINT_CHECKS and pts is None:
-        raise VarioBernError(f"check '{name}' needs --points")
-    if name == "cnd":
-        return checks.cnd_check(model, pts, tol)
-    if name == "pd":
-        return checks.pd_check(model, pts, tol)
-    if name == "axioms":
-        return checks.variogram_axioms(model, pts, tol)
-    if name == "sqrt_subadditivity":
-        return checks.sqrt_subadditivity_check(model, pts, tol)
+    if name not in _CHECKS:
+        raise VarioBernError(
+            f"unknown check '{name}'; available: {', '.join(_CHECKS)}")
 
-    if name in ("cm", "bernstein"):
-        grid = np.logspace(-2, 2, 33)
-        f = lambda x: alg.evaluate(model.profile, x)
-        if name == "cm":
-            return checks.cm_check(f, grid, tol=tol)
-        return checks.bernstein_check(f, grid, tol=tol)
-    if name == "polya":
-        grid = np.linspace(0.05, 8.0, 64)
-        phi = lambda t: model.norm_profile(np.abs(t))
-        return checks.polya_check(phi, grid, tol=tol)
-    if name == "profile_shape":
-        # the shape theorem constrains the squared-radius profile
-        grid = np.linspace(0.0, 8.0, 65)
-        f = lambda x: model.norm_profile(np.sqrt(x))
-        return checks.profile_shape_check(f, grid, tol=tol)
-    if name == "eventual_constancy":
-        if not isinstance(model, models.StationaryCovariance) or \
-                not math.isfinite(model.support_radius):
-            raise VarioBernError(
-                "eventual_constancy needs a covariance model with a finite "
-                "support radius"
-            )
-        gamma = models.variogram_from_covariance(model)
-        r = model.support_radius
-        # only squared_norm certificates are dimension-free; a spherical or
-        # Wendland certificate is specific to its d and plateaus legitimately.
-        # A certificate the input only claims is put to the same test.
-        all_d = (model.certified or claimed) and model.mode == "squared_norm"
-        return checks.eventual_constancy_check(
-            gamma.norm_profile, inner=r, outer=3.0 * r, tol=tol,
-            all_d_certified=all_d)
-    raise VarioBernError(
-        f"unknown check '{name}'; available: {', '.join(CHECK_NAMES)}")
+    def sites():
+        if pts is None:
+            raise VarioBernError(f"check '{name}' needs --points")
+        return pts
+
+    return _CHECKS[name](model, sites, tol, claimed)
 
 
 def cmd_validate(args) -> int:
@@ -383,13 +382,16 @@ def cmd_simulate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="variobern",
+        prog="variobern", allow_abbrev=False,
         description="Variogram and covariance construction, validation, "
                     "kriging and simulation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=False, points=False, grid=False, mode=False,
-               tol=False, seed=False):
+    def command(name, func, help, model=False, points=False, grid=False,
+                mode=False, tol=False, seed=False):
+        # no flag abbreviations: _join_negative_grid knows only '--grid'
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(func=func)
         if model:
             sp.add_argument("--model", required=True,
                             help="model/recipe JSON, inline or a file path")
@@ -406,35 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
         if mode:
             sp.add_argument("--mode", choices=("dense", "sparse"),
                             default="dense", help="system assembly mode")
+        return sp
 
-    sp = sub.add_parser("catalog", help="list atoms and table profiles")
-    common(sp)
-    sp.set_defaults(func=cmd_catalog)
-
-    sp = sub.add_parser("validate", help="run permissibility checks")
-    common(sp, model=True, points=True, tol=True)
-    sp.add_argument("--checks",
-                    help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("construct", help="materialize a constructor recipe")
-    common(sp, model=True)
-    sp.set_defaults(func=cmd_construct)
-
-    sp = sub.add_parser("grid", help="tabulate model values on a grid")
-    common(sp, model=True, grid=True)
-    sp.set_defaults(func=cmd_grid)
-
-    sp = sub.add_parser("krige", help="ordinary kriging at grid targets")
-    common(sp, model=True, points=True, grid=True, mode=True)
-    sp.set_defaults(func=cmd_krige)
-
-    sp = sub.add_parser("simulate",
-                        help="simulate replicates, emit empirical variogram")
-    common(sp, model=True, points=True, grid=True, tol=True, seed=True)
-    sp.add_argument("--replicates", type=int, default=200,
-                    help="number of replicates (default 200)")
-    sp.set_defaults(func=cmd_simulate)
+    command("catalog", cmd_catalog, "list atoms and table profiles")
+    command("validate", cmd_validate, "run permissibility checks",
+            model=True, points=True, tol=True).add_argument(
+        "--checks", help="comma-separated subset of: " + ", ".join(_CHECKS))
+    command("construct", cmd_construct, "materialize a constructor recipe",
+            model=True)
+    command("grid", cmd_grid, "tabulate model values on a grid",
+            model=True, grid=True)
+    command("krige", cmd_krige, "ordinary kriging at grid targets",
+            model=True, points=True, grid=True, mode=True)
+    command("simulate", cmd_simulate,
+            "simulate replicates, emit empirical variogram", model=True,
+            points=True, grid=True, tol=True, seed=True).add_argument(
+        "--replicates", type=int, default=200,
+        help="number of replicates (default 200)")
     return p
 
 
@@ -456,10 +446,7 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except VarioBernError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+    except (VarioBernError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

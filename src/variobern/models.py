@@ -28,7 +28,7 @@ import numpy as np
 from . import algebra as alg
 from .algebra import FunctionExpr, evaluate
 from .atoms import REGISTRY, _number
-from .errors import ConstructionError, EvaluationError, ParameterError
+from .errors import ConstructionError, ParameterError
 
 __all__ = [
     "Variogram",
@@ -55,29 +55,6 @@ _MODES = ("squared_norm", "norm")
 _BEYOND_SUPPORT = np.array([1.0, 1.001, 1.5, 2.0, 10.0, 1e3])
 
 
-def _inexact_at_endpoints(g: FunctionExpr) -> bool:
-    """Whether evaluate(g, 0 or inf) may substitute a finite point for the
-    endpoint (x/f(x), f(x)/x, uchiyama); a spectral node's limits are 0 and
-    its carrier's Levy density at 0, so it is as exact as that density."""
-    if g.kind == "spectral":
-        density = g.children[0].levy.density
-        return density is not None and _inexact_at_endpoints(density)
-    if g.kind == "uchiyama" or (g.kind == "dualize" and g.name != "reciprocal"):
-        return True
-    return any(_inexact_at_endpoints(c) for c in g.children)
-
-
-def _limit(g: FunctionExpr, x: float) -> float | None:
-    """The exact limit of g at x = 0 or inf, or None where there is no finite
-    limit or the evaluator can only approximate it."""
-    if _inexact_at_endpoints(g):
-        return None
-    try:
-        return evaluate(g, x)
-    except EvaluationError:
-        return None
-
-
 def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None:
     """The theorem that makes profile f a valid model, or None.
 
@@ -87,7 +64,7 @@ def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None
     if mode == "squared_norm":
         if not is_cov and "BF" in f.derived:
             return "Bernstein profile of |A xi|^2: variogram in every dimension"
-        if is_cov and "CM" in f.derived and _limit(f, 0.0) is not None:
+        if is_cov and "CM" in f.derived and alg._exact_limit(f, 0.0) is not None:
             return ("completely monotone profile of |A xi|^2: covariance in "
                     "every dimension (Schoenberg)")
     if f.kind == "affine" and f.params_dict["scale"] < 0.0:
@@ -95,7 +72,7 @@ def _certificate(is_cov: bool, mode: str, d: int, f: FunctionExpr) -> str | None
         c, s = f.params_dict["shift"], -f.params_dict["scale"]
         inner = _certificate(not is_cov, mode, d, g)
         # C(0) - C vanishes at 0; sill - gamma needs gamma bounded by the sill
-        edge = _limit(g, math.inf if is_cov else 0.0) if inner else None
+        edge = alg._exact_limit(g, math.inf if is_cov else 0.0) if inner else None
         if edge is not None and is_cov and c >= s * edge:
             return f"sill - gamma with gamma <= sill a variogram [{inner}]"
         if edge is not None and not is_cov and c == s * edge:

@@ -77,10 +77,12 @@ def _expected_header(d: int, with_values: bool) -> list[str]:
 def read_points_csv(path) -> PointSet:
     """Read a point set; header must be x1,...,xd with optional value column."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if "".join(r).strip()]
+        reader = csv.reader(fh)
+        # each row with its line in the file, blank lines counted, for errors
+        rows = [(reader.line_num, r) for r in reader if "".join(r).strip()]
     if not rows:
         raise ParameterError(f"{path}: file is empty")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     with_values = header[-1] == "value"
     d = len(header) - 1 if with_values else len(header)
     if d < 1 or header != _expected_header(d, with_values):
@@ -91,29 +93,21 @@ def read_points_csv(path) -> PointSet:
     body = rows[1:]
     try:
         # a ragged table fails in np.array, rows of one wrong length in reshape
-        data = np.array([[float(c.strip()) for c in row] for row in body]
+        data = np.array([[float(c.strip()) for c in row] for _, row in body]
                         ).reshape(len(body), len(header))
     except ValueError:
         data = None
     if data is None or not np.isfinite(data).all():
-        _raise_first_bad_cell(path, header)
+        _raise_first_bad_cell(path, header, body)
     if with_values:
         return PointSet(data[:, :d], data[:, d])
     return PointSet(data)
 
 
-def _raise_first_bad_cell(path, header: list[str]) -> NoReturn:
-    """Raise ParameterError for the first row of the wrong length, or cell
-    that is not a finite number, in reading order.
-
-    The file is read again so that each row is named by its line in the
-    file, blank lines counted; the reader that succeeds keeps no line
-    numbers.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if "".join(r).strip()]
-    for i, row in rows[1:]:
+def _raise_first_bad_cell(path, header: list[str], rows: list) -> NoReturn:
+    """Raise ParameterError for the first of the (line, cells) rows of the
+    wrong length, or cell that is not a finite number, in reading order."""
+    for i, row in rows:
         cells = [c.strip() for c in row]
         if len(cells) != len(header):
             raise ParameterError(

@@ -117,6 +117,43 @@ def test_covariance_of_an_approximated_limit_is_uncertified():
     assert not vb.covariance_from_variogram(u, sill=1e300).certified
 
 
+def _one_node_of_each_kind():
+    f, g = vb.catalog("frac_linear", {"lam": 1.0}), vb.catalog("log1p")
+    # e^-t log(1 + t) / t: a decreasing, integrable density read through f(x)/x
+    density = vb.fprod(vb.catalog("exp_decay", {"a": 1.0}), vb.dualize(g, "f_over_x"))
+    return [f, vb.affine(f, shift=1.0, scale=-1.0), vb.fsum(f, g), vb.fprod(f, g),
+            vb.compose(g, f), vb.fpow(f, 0.5),
+            *(vb.combine(f, g, rule, 0.5) for rule in vb.algebra.COMBINE_RULES),
+            *(vb.dualize(f, rule) for rule in vb.algebra.DUALIZE_RULES),
+            vb.affine(vb.dualize(f, "x_over_f"), shift=1.0, scale=2.0),
+            vb.uchiyama(g, f, g), vb.spectral_node(g), vb.spectral_node(f),
+            vb.spectral_node(vb.with_levy(g, vb.LevyTriple(density=density)))]
+
+
+@pytest.mark.parametrize("x", [0.0, np.inf])
+def test_an_endpoint_evaluated_by_substitution_is_never_an_exact_limit(monkeypatch, x):
+    """Whenever evaluation at 0 or inf goes through _sub_endpoints, the
+    certificates' _exact_limit is None there."""
+    alg = vb.algebra
+    calls = []
+    real = alg._sub_endpoints
+    monkeypatch.setattr(alg, "_sub_endpoints", lambda v: calls.append(v) or real(v))
+    substituted = []
+    for e in _one_node_of_each_kind():
+        calls.clear()
+        alg._spectral_value.cache_clear()  # a cached value would skip the density
+        try:
+            vb.evaluate(e, x)
+        except vb.EvaluationError:
+            pass
+        if calls:
+            substituted.append(vb.describe(e))
+            assert alg._exact_limit(e, x) is None, vb.describe(e)
+    # x/f(x), f(x)/x, the affine above x/f(x) and uchiyama; at inf also the
+    # spectral node whose density reads f(x)/x at 0
+    assert len(substituted) == (5 if x == np.inf else 4), substituted
+
+
 def test_derived_tags_cannot_be_set():
     e = vb.catalog("one_minus_cos")
     with pytest.raises(ValueError):

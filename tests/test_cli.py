@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import variobern as vb
-from variobern.cli import main
+from variobern.cli import _CHECKS, main
 
 
 def model_arg(m) -> str:
@@ -186,6 +186,32 @@ def test_validate_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_validate_unknown_check_lists_exactly_the_check_table(capsys):
+    code, _, err = run(capsys, "validate", "--model", CUBIC, "--checks", "magic")
+    assert code == 2
+    assert err.rstrip("\n").split("available: ")[1].split(", ") == list(_CHECKS)
+
+
+def test_validate_looks_its_oracle_up_when_the_check_runs(capsys, tmp_path, monkeypatch):
+    """A wrapper set on checks.cnd_check after import is the oracle that
+    validate runs, as for the benchmark's span wrappers."""
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0], [2.5]])
+    ran = []
+    real = vb.checks.cnd_check
+
+    def recording(*args, **kw):
+        ran.append(args[1].n)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(vb.checks, "cnd_check", recording)
+    model = model_arg(vb.make_variogram(vb.catalog("power", {"a": 0.5}), d=1))
+    code, out, err = run(capsys, "validate", "--model", model, "--points", sites,
+                         "--checks", "cnd")
+    assert code == 0, err
+    assert ran == [3]
+    assert json.loads(out)["reports"][0]["check"] == "cnd"
+
+
 # ----------------------------------------------------------------------
 # construct
 
@@ -320,6 +346,24 @@ def test_grid_followed_by_a_flag_is_still_a_usage_error(capsys, command):
         main([*argv, "--grid", "--out", "x"])
     assert exc.value.code == 2
     assert "argument --grid: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["grid", "krige"])
+@pytest.mark.parametrize("spec", ["-1:1:2,0:1:2", "0:1:2,0:1:2"])
+def test_an_abbreviated_flag_is_a_usage_error(capsys, tmp_path, command, spec):
+    """'--gri' once passed with a nonnegative range and failed with a
+    negative one; only the full spelling '--grid' is read."""
+    sites = write_sites(tmp_path / "s.csv", [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                        [1.0, 2.0, 3.0])
+    argv = [command, "--model", model_arg(vb.ma_product(1.0, 1.0, d=2))]
+    if command == "krige":
+        argv += ["--points", sites]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--gri", spec])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --gri {spec}" in capsys.readouterr().err
+    code, _, err = run(capsys, *argv, "--grid", spec)
+    assert code == 0, err
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,30 @@ def test_csv_error_names_the_line_in_the_file(tmp_path, text, message):
     assert _read_error(tmp_path, text) == message
 
 
+@pytest.mark.parametrize("text, error", [
+    ("x1,x2\n\n1,2\n3,4\n", None),
+    ("x1,x2\n\n1,2\n3,abc\n", "row 4, column 'x2'"),
+], ids=["good", "bad"])
+def test_csv_is_opened_once(tmp_path, monkeypatch, text, error):
+    """The rows keep their line numbers from the one read, so an error is
+    reported without opening the file again."""
+    path = tmp_path / "sites.csv"
+    path.write_text(text)
+    opened = []
+
+    def counting_open(*args, **kw):
+        opened.append(args[0])
+        return open(*args, **kw)
+
+    monkeypatch.setattr(vb.points, "open", counting_open, raising=False)
+    if error is None:
+        vb.read_points_csv(path)
+    else:
+        with pytest.raises(ParameterError, match=error):
+            vb.read_points_csv(path)
+    assert opened == [path]
+
+
 def test_csv_cells_with_surrounding_spaces(tmp_path):
     # str.strip also drops the separators \x1c-\x1f, which float() keeps
     path = tmp_path / "sites.csv"
