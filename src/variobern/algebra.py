@@ -401,7 +401,8 @@ def _exact_limit(e: FunctionExpr, x: float) -> float | None:
     """The limit of e at x = 0 or inf, or None where it is not finite or only
     approximated: dualize x/f(x), f(x)/x and uchiyama nodes substitute finite
     points for the endpoints (_sub_endpoints). Below a spectral node only the
-    carrier's Levy density is searched, since its limits are 0 and m(0+)."""
+    carrier's Levy density is searched, since its limits are 0 and m(0+), and
+    not for e itself at x = 0, which is exactly 0 and reads no density."""
     nodes = [e]
     while nodes:
         g = nodes.pop()
@@ -409,7 +410,7 @@ def _exact_limit(e: FunctionExpr, x: float) -> float | None:
             return None
         if g.kind != "spectral":
             nodes.extend(g.children)
-        elif g.children[0].levy.density is not None:
+        elif g.children[0].levy.density is not None and (g is not e or x != 0.0):
             nodes.append(g.children[0].levy.density)
     try:
         return evaluate(e, x)

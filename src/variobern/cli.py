@@ -20,7 +20,7 @@ from . import algebra as alg
 from . import checks, kernels, kriging, models
 from .atoms import CBF_TABLE, REGISTRY, _number, validate_params
 from .errors import VarioBernError
-from .points import PointSet, read_points_csv
+from .points import PointSet, _expected_header, read_points_csv
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -278,7 +278,7 @@ _RECIPES = {
 
 
 def _build_recipe(recipe: dict):
-    """Return ('model', radial model) or ('kernel', payload dict)."""
+    """The radial model, or a shift kernel's payload dict, the recipe builds."""
     ctor = recipe.get("constructor")
     args = recipe.get("args", {})
     if not isinstance(args, dict):
@@ -287,20 +287,16 @@ def _build_recipe(recipe: dict):
     if build is None:
         raise VarioBernError(
             f"unknown constructor {ctor!r}; available: {', '.join(_RECIPES)}")
-    built = build(args)
-    return ("kernel" if isinstance(built, dict) else "model"), built
+    return build(args)
 
 
 def cmd_construct(args) -> int:
     recipe = _load_json_arg(args.model, "recipe")
     config = {"command": "construct", "recipe": recipe, "out": args.out}
-    kind, built = _build_recipe(recipe)
-    if kind == "model":
-        payload = {"config": config, "model": models.model_to_json(built),
-                   "certified": built.certified}
-    else:
-        payload = {"config": config, "kernel": built,
-                   "certified": built["certified"]}
+    built = _build_recipe(recipe)
+    kind, body = (("kernel", built) if isinstance(built, dict)
+                  else ("model", models.model_to_json(built)))
+    payload = {"config": config, kind: body, "certified": body["certified"]}
     _emit(_json_text(payload), args.out)
     return EXIT_PASS
 
@@ -316,7 +312,7 @@ def cmd_grid(args) -> int:
     values = np.asarray(model(coords), dtype=float)
     config = {"command": "grid", "model": models.model_to_json(model),
               "grid": args.grid, "out": args.out}
-    header = ",".join(f"x{i + 1}" for i in range(model.d)) + ",value"
+    header = ",".join(_expected_header(model.d, True))
     lines = [f"# config: {json.dumps(config, sort_keys=True)}", header]
     for row, v in zip(coords, values):
         lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(v))

@@ -16,7 +16,6 @@ drift * xi^2 + integral (1 - cos(s xi)) mu(ds) with m(t) = mu[t, inf).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,8 @@ import numpy as np
 from . import algebra as alg
 from .algebra import FunctionExpr
 from .errors import ConstructionError
-from .models import Variogram
-from .points import PointSet
+from .models import Variogram, make_variogram
+from .points import PointSet, write_points_csv
 
 __all__ = [
     "ShiftKernelPair",
@@ -45,7 +44,6 @@ def difference_kernel(gamma: Variogram, eta):
     eta = np.asarray(eta, dtype=float).reshape(gamma.d)
 
     def kernel(xi):
-        xi = np.asarray(xi, dtype=float)
         return gamma(xi + eta) + gamma(xi - eta) - 2.0 * gamma(xi)
 
     return kernel
@@ -60,7 +58,6 @@ def sum_kernel(gamma: Variogram, eta):
     g_eta = float(gamma(eta[None, :])[0])
 
     def kernel(xi):
-        xi = np.asarray(xi, dtype=float)
         return 2.0 * g_eta + 2.0 * gamma(xi) - gamma(xi + eta) - gamma(xi - eta)
 
     return kernel
@@ -99,7 +96,6 @@ class NonstationaryKernel:
     d: int
 
     def _radial(self, xi):
-        xi = np.asarray(xi, dtype=float)
         r = np.sqrt(np.einsum("...i,...i->...", xi, xi))
         return np.asarray(self.g(r), dtype=float)
 
@@ -134,10 +130,8 @@ def spectral_variogram(f: FunctionExpr) -> Variogram:
     triple, else as drift * xi^2 + xi integral sin(s xi) m(s) ds by split
     quadrature with a sine-weight tail.
     """
-    return Variogram(
-        profile=alg.spectral_node(f), mode="norm", anisotropy=np.eye(1), d=1,
-        construction=f"spectral_variogram({alg.describe(f)})",
-    )
+    return make_variogram(alg.spectral_node(f), d=1, mode="norm",
+                          construction=f"spectral_variogram({alg.describe(f)})")
 
 
 def spectral_reference(f: FunctionExpr, xi):
@@ -151,13 +145,8 @@ def spectral_reference(f: FunctionExpr, xi):
 
 
 def tabulate_kernel_csv(kernel, coords, path) -> None:
-    """Write rows (xi coordinates..., value) for a kernel on given points."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    vals = np.asarray(kernel(coords), dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i + 1}" for i in range(coords.shape[1])] + ["value"])
-        for row, v in zip(coords, vals):
-            w.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+    """Write kernel values on the points coords ((n, d), or (n,) in d = 1) in
+    the site CSV format of points.write_points_csv; no points, or a coordinate
+    or value that is not finite, raises ParameterError before opening path."""
+    x = PointSet(coords).coords
+    write_points_csv(PointSet(x, kernel(x)), path)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atoms import _number
 from .checks import kernel_matrix
 from .errors import DegenerateSystemError, ParameterError
 from .models import StationaryCovariance, Variogram
@@ -278,7 +279,9 @@ def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):
 
     gamma_hat(bin) is the mean of (Z_i - Z_j)^2 / 2 over replicates and the
     site pairs whose distance falls in the bin; empty bins carry count 0 and
-    NaN. count is the number of distinct site pairs in the bin.
+    NaN. count is the number of distinct site pairs in the bin. bins is a
+    count >= 1 of even bins up to the largest distance, or strictly
+    increasing bin edges.
     """
     z = np.asarray(replicates, dtype=float)
     if z.ndim != 2 or z.shape[1] != pts.n:
@@ -288,7 +291,10 @@ def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):
     iu, ju = np.triu_indices(pts.n, k=1)
     d = np.sqrt(((pts.coords[iu] - pts.coords[ju]) ** 2).sum(-1))
     if np.isscalar(bins):
-        edges = np.linspace(0.0, float(d.max(initial=0.0)), int(bins) + 1)
+        n_bins = _number(bins, "bin count", int)
+        if n_bins < 1:
+            raise ParameterError(f"bin count must be >= 1, got {n_bins}")
+        edges = np.linspace(0.0, float(d.max(initial=0.0)), n_bins + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):

@@ -99,7 +99,7 @@ class _RadialModel:
     mode: str
     anisotropy: np.ndarray
     d: int
-    construction: str
+    construction: str = ""
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -150,8 +150,6 @@ class _RadialModel:
 class Variogram(_RadialModel):
     """gamma(xi) = f(|A xi|^2) or f(|A xi|) on R^d."""
 
-    construction: str = ""
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryCovariance(_RadialModel):
@@ -162,7 +160,6 @@ class StationaryCovariance(_RadialModel):
     """
 
     support_radius: float = math.inf
-    construction: str = ""
 
     def __post_init__(self):
         super().__post_init__()
@@ -312,21 +309,16 @@ def spherical(rng: float, d: int, A=None) -> Variogram:
     """Spherical variogram with range rng and sill 1; certified for d <= 3."""
     if rng <= 0:
         raise ParameterError("range must be positive")
-    return Variogram(
-        profile=alg.catalog("spherical_profile", {"range": float(rng)}),
-        mode="norm", anisotropy=A, d=d,
-        construction=f"spherical(range={rng:g}, d={d})",
-    )
+    return make_variogram(alg.catalog("spherical_profile", {"range": float(rng)}),
+                          A, d, mode="norm",
+                          construction=f"spherical(range={rng:g}, d={d})")
 
 
 def spherical_covariance(rng: float, d: int, A=None) -> StationaryCovariance:
     """C = 1 - spherical variogram: compactly supported with radius rng."""
-    base = spherical(rng, d, A)
-    return StationaryCovariance(
-        profile=alg.affine(base.profile, shift=1.0, scale=-1.0),
-        mode="norm", anisotropy=base.anisotropy, d=d, support_radius=float(rng),
-        construction=f"spherical_covariance(range={rng:g}, d={d})",
-    )
+    return _complement(spherical(rng, d, A), StationaryCovariance, 1.0,
+                       f"spherical_covariance(range={rng:g}, d={d})",
+                       support_radius=float(rng))
 
 
 def exponential_covariance(rate: float = 1.0, d: int = 1, A=None) -> StationaryCovariance:
@@ -344,22 +336,26 @@ def exponential_covariance(rate: float = 1.0, d: int = 1, A=None) -> StationaryC
 def matern_covariance(alpha: float = 1.0, nu: float = 0.5, d: int = 1,
                       A=None) -> StationaryCovariance:
     """Covariance 1 - matern profile sill-reversed: C = 1 - f_matern(|xi|^2)."""
-    f = alg.catalog("matern", alpha=alpha, nu=nu)
-    return StationaryCovariance(
-        profile=alg.affine(f, shift=1.0, scale=-1.0),
-        mode="squared_norm", anisotropy=A, d=d,
-        construction=f"matern_covariance(alpha={alpha:g}, nu={nu:g}, d={d})",
-    )
+    return _complement(make_variogram(alg.catalog("matern", alpha=alpha, nu=nu), A, d),
+                       StationaryCovariance, 1.0,
+                       f"matern_covariance(alpha={alpha:g}, nu={nu:g}, d={d})")
+
+
+def _complement(m: _RadialModel, cls: type, shift: float, construction: str, **kw):
+    """The cls model shift - m on m's mode, anisotropy and dimension, kw its
+    other fields: C(0) - C for a covariance C, or sill - gamma for a
+    variogram gamma (Schoenberg's theorem read both ways). _certificate
+    decides from the affine node whether the theorem covers the result."""
+    return cls(profile=alg.affine(m.profile, shift=float(shift), scale=-1.0),
+               mode=m.mode, anisotropy=m.anisotropy, d=m.d,
+               construction=construction, **kw)
 
 
 def variogram_from_covariance(c: StationaryCovariance) -> Variogram:
     """gamma(xi) = C(0) - C(xi); bounded by the sill, eventually constant
     exactly when C is compactly supported."""
-    return Variogram(
-        profile=alg.affine(c.profile, shift=c.sill, scale=-1.0),
-        mode=c.mode, anisotropy=c.anisotropy, d=c.d,
-        construction=f"variogram_from_covariance({c.construction})",
-    )
+    return _complement(c, Variogram, c.sill,
+                       f"variogram_from_covariance({c.construction})")
 
 
 def covariance_from_variogram(v: Variogram, sill: float,
@@ -367,12 +363,9 @@ def covariance_from_variogram(v: Variogram, sill: float,
     """C(xi) = sill - gamma(xi) for bounded (eventually constant) variograms."""
     if sill < 0:
         raise ParameterError("sill must be nonnegative")
-    return StationaryCovariance(
-        profile=alg.affine(v.profile, shift=float(sill), scale=-1.0),
-        mode=v.mode, anisotropy=v.anisotropy, d=v.d,
-        support_radius=float(support_radius),
-        construction=f"covariance_from_variogram({v.construction})",
-    )
+    return _complement(v, StationaryCovariance, sill,
+                       f"covariance_from_variogram({v.construction})",
+                       support_radius=float(support_radius))
 
 
 # ----------------------------------------------------------------------
@@ -400,19 +393,14 @@ def model_from_json(d: dict):
     for key in ("profile", "mode", "d"):
         if key not in d:
             raise ParameterError(f"model JSON is missing the '{key}' field")
-    profile = alg.expr_from_json(d["profile"])
-    dim = _number(d["d"], "model dimension 'd'", int)
+    shared = dict(profile=alg.expr_from_json(d["profile"]), mode=d["mode"],
+                  anisotropy=d.get("A"), d=_number(d["d"], "model dimension 'd'", int),
+                  construction=d.get("construction", ""))
     kind = d.get("type", "variogram")
     if kind == "covariance":
         sr = d.get("support_radius")
-        return StationaryCovariance(
-            profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
-            support_radius=math.inf if sr is None else _number(sr, "support_radius"),
-            construction=d.get("construction", ""),
-        )
+        return StationaryCovariance(**shared, support_radius=math.inf if sr is None
+                                    else _number(sr, "support_radius"))
     if kind != "variogram":
         raise ParameterError(f"unknown model type '{kind}'")
-    return Variogram(
-        profile=profile, mode=d["mode"], anisotropy=d.get("A"), d=dim,
-        construction=d.get("construction", ""),
-    )
+    return Variogram(**shared)

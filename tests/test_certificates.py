@@ -154,6 +154,20 @@ def test_an_endpoint_evaluated_by_substitution_is_never_an_exact_limit(monkeypat
     assert len(substituted) == (5 if x == np.inf else 4), substituted
 
 
+def test_a_spectral_node_is_exactly_zero_at_zero_whatever_its_density_reads():
+    """A spectral node reads its Levy density only at x = inf, so at 0 its
+    limit is exact even when the density is f(x)/x; below another node the
+    spectral argument need not be 0 (1/x sends 0 to inf), so the density
+    is searched there."""
+    alg = vb.algebra
+    g = vb.catalog("log1p")
+    density = vb.fprod(vb.catalog("exp_decay", {"a": 1.0}), vb.dualize(g, "f_over_x"))
+    node = vb.spectral_node(vb.with_levy(g, vb.LevyTriple(density=density)))
+    assert alg._exact_limit(node, 0.0) == 0.0
+    assert alg._exact_limit(node, np.inf) is None
+    assert alg._exact_limit(vb.compose(node, vb.catalog("recip")), 0.0) is None
+
+
 def test_derived_tags_cannot_be_set():
     e = vb.catalog("one_minus_cos")
     with pytest.raises(ValueError):

@@ -181,6 +181,26 @@ def test_tabulate_kernel_csv_one_dim(tmp_path):
     assert [float(r[1]) for r in rows[1:]] == [0.0, 2.0]
 
 
+@pytest.mark.parametrize("coords", [np.array([0.0, 0.5, 2.0]),
+                                    np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])])
+def test_tabulate_kernel_csv_is_the_site_csv_format(tmp_path, coords):
+    v = vb.make_variogram(vb.catalog("power", {"a": 0.5}), d=1 if coords.ndim == 1 else 2)
+    vb.tabulate_kernel_csv(v, coords, tmp_path / "tab.csv")
+    sites = vb.PointSet(coords)
+    vb.write_points_csv(vb.PointSet(sites.coords, v(sites.coords)), tmp_path / "ref.csv")
+    assert (tmp_path / "tab.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_tabulate_kernel_csv_refuses_a_nan_or_no_points_before_writing(tmp_path):
+    path = tmp_path / "tab.csv"
+    with pytest.raises(ParameterError, match="finite"):
+        vb.tabulate_kernel_csv(lambda x: np.full(len(x), np.nan),
+                               np.array([0.0, 1.0]), path)
+    with pytest.raises(ParameterError, match="n, d >= 1"):
+        vb.tabulate_kernel_csv(vb.ma_product(1.0, 0.5, d=2), np.empty((0, 2)), path)
+    assert not path.exists()
+
+
 def test_spectral_gates_in_order_and_quietly():
     """A nonzero constant is refused before the density is looked at, a
     rising density before any quadrature, and a jump measure that does not

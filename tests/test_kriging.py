@@ -368,6 +368,13 @@ def test_empirical_variogram_shape_gates():
         vb.empirical_variogram(np.zeros((3, 2)), pts, bins=[1.0, 0.5])
 
 
+@pytest.mark.parametrize("bins", [0, -1, 2.5, math.nan, True])
+def test_empirical_variogram_bin_count_must_be_a_positive_integer(bins):
+    pts = vb.PointSet(np.array([[0.0], [1.0]]))
+    with pytest.raises(ParameterError, match="bin count"):
+        vb.empirical_variogram(np.zeros((3, 2)), pts, bins=bins)
+
+
 def test_kriging_duplicate_sites_detected_in_any_order():
     exp2 = vb.exponential_covariance(1.0, d=2)
     pts = obs([[0.0, 1.0], [2.0, 2.0], [-0.0, 1.0]], [0.0, 1.0, 2.0])
