@@ -169,6 +169,7 @@ def test_tabulate_kernel_csv_round_trip(tmp_path, gamma2):
     got = np.array([[float(c) for c in row] for row in rows[1:]])
     assert np.array_equal(got[:, :2], coords)
     assert np.allclose(got[:, 2], gamma2(coords), rtol=0)
+    assert path.read_bytes().startswith(b"x1,x2,value\r\n0.0,0.0,0.0\r\n1.0,1.0,")
 
 
 def test_tabulate_kernel_csv_one_dim(tmp_path):
@@ -179,16 +180,7 @@ def test_tabulate_kernel_csv_one_dim(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x1", "value"]
     assert [float(r[1]) for r in rows[1:]] == [0.0, 2.0]
-
-
-@pytest.mark.parametrize("coords", [np.array([0.0, 0.5, 2.0]),
-                                    np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])])
-def test_tabulate_kernel_csv_is_the_site_csv_format(tmp_path, coords):
-    v = vb.make_variogram(vb.catalog("power", {"a": 0.5}), d=1 if coords.ndim == 1 else 2)
-    vb.tabulate_kernel_csv(v, coords, tmp_path / "tab.csv")
-    sites = vb.PointSet(coords)
-    vb.write_points_csv(vb.PointSet(sites.coords, v(sites.coords)), tmp_path / "ref.csv")
-    assert (tmp_path / "tab.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert path.read_bytes() == b"x1,value\r\n0.0,0.0\r\n2.0,2.0\r\n"
 
 
 def test_tabulate_kernel_csv_refuses_a_nan_or_no_points_before_writing(tmp_path):

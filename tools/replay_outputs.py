@@ -1,24 +1,27 @@
 """Replay the benchmark's CLI jobs through one checkout and keep every output.
 
-    python3 tools/replay_outputs.py --src CHECKOUT/src --out DIR [--seed 7] [--rounds 2]
+    python3 tools/replay_outputs.py --src CHECKOUT/src --out DIR
 
 ``variobern`` is imported from ``--src``; the workload inputs come from
 ``perfbench/inputs.py`` beside this script, which is read and not changed.
 Each workload's inputs are written into one fixed work directory under the
 system temporary directory, so the ``--points`` and ``--out`` paths that the
-outputs echo are the same for every checkout. Every job of rounds
-0 .. rounds-1 runs through ``variobern.cli.main`` in this process, as the
-benchmark runs it, and lands in ``DIR/<workload>/round<r>/`` as
+outputs echo are the same for every checkout. The inputs are those of seed
+SEED, and every job of rounds 0 .. ROUNDS-1 runs through
+``variobern.cli.main`` in this process, as the benchmark runs it, and lands in ``DIR/<workload>/round<r>/`` as
 ``<job id>.json`` or ``<job id>.csv`` (its output file, if it wrote one),
 ``<job id>.exit`` (the exit code) and ``<job id>.stderr``. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
-byte a change moved.
+byte a change moved. Because the work directory is shared, replays run one
+after the other: a replay holds a lock on it and refuses to start while
+another holds it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import importlib.util
 import io
 import os
@@ -31,6 +34,8 @@ import traceback
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                          "perfbench")
 WORK = os.path.join(tempfile.gettempdir(), "variobern-replay")
+SEED = 7
+ROUNDS = 2
 
 
 def _load_inputs():
@@ -57,14 +62,14 @@ def _run(argv: list[str]) -> tuple[str, str]:
     return code, err.getvalue()
 
 
-def replay(inputs, seed: int, rounds: int, out: str) -> int:
+def replay(inputs, out: str) -> int:
     """Run every job of every workload; returns the number of jobs run."""
     n = 0
     for workload in inputs.WORKLOADS:
         base = os.path.join(WORK, workload)
         shutil.rmtree(base, ignore_errors=True)
-        manifest = inputs.write_fixed(workload, seed, base)
-        for r in range(rounds):
+        manifest = inputs.write_fixed(workload, SEED, base)
+        for r in range(ROUNDS):
             dest = os.path.join(out, workload, f"round{r}")
             os.makedirs(dest, exist_ok=True)
             for job in inputs.round_jobs(manifest, base, r):
@@ -87,9 +92,6 @@ def main(argv=None) -> int:
     p.add_argument("--src", required=True,
                    help="the checkout's src directory, which holds variobern")
     p.add_argument("--out", required=True, help="directory for the outputs")
-    p.add_argument("--seed", type=int, default=7, help="input seed (default 7)")
-    p.add_argument("--rounds", type=int, default=2,
-                   help="rounds per workload (default 2)")
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
@@ -97,8 +99,15 @@ def main(argv=None) -> int:
 
     if os.path.dirname(os.path.dirname(os.path.abspath(variobern.__file__))) != src:
         raise SystemExit(f"variobern was imported from {variobern.__file__}, not {src}")
-    t0 = time.perf_counter()
-    n = replay(_load_inputs(), args.seed, args.rounds, args.out)
+    # a concurrent replay would overwrite this one's inputs and outputs in WORK
+    with open(WORK + ".lock", "w") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SystemExit(f"another replay is using {WORK}; "
+                             "run replays one after the other") from None
+        t0 = time.perf_counter()
+        n = replay(_load_inputs(), args.out)
     print(f"{n} jobs in {time.perf_counter() - t0:.1f} s from {src} -> {args.out}")
     return 0
 
