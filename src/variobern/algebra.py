@@ -8,13 +8,27 @@ place the closure theorems are stated. Derived tags are sound but not
 complete - an empty set means "unverified", never "disproved". Tags declared
 through with_tags or loaded from JSON join ``tags`` for display, but no proof
 reads them.
+
+Integrals (a Levy density's moment gate, levy_eval, a spectral node whose
+carrier has no continuation) use one adaptive Gauss-Kronrod rule in numpy:
+QUADPACK's G10K21 pair on every interval, a level of bisections of the
+intervals with the largest error estimates, and one evaluate call for all
+new nodes of a level. The half line is cut into dyadic pieces around a
+knee; the pieces beyond the last toward 0 or inf add up as a geometric
+series, exact for power-law ends and infinite for divergent ones. A
+sine-weighted tail adds up over half periods (Longman's method), the later
+ones by Euler's transformation. A result's error bound is the sum of three
+parts: the Kronrod-Gauss estimates (QUADPACK's heuristic, not a proof), the
+change of each geometric rest between its last two ratios, and the next term
+of Euler's transformation, a proof when the density is completely monotone.
+A bound above its gate raises QuadratureError, and so does a rule that runs
+out of its fixed level or interval cap, naming it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -546,8 +560,8 @@ def levy_eval(triple: LevyTriple, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     pts = np.atleast_1d(arr).astype(float)
-    if pts.size and pts.min() < 0.0:
-        raise EvaluationError("Levy representations are evaluated at x >= 0")
+    if not np.all((pts >= 0.0) & np.isfinite(pts)):
+        raise EvaluationError("Levy representations are evaluated at finite x >= 0")
     out = triple.drift * pts + triple.constant
     for t, m in triple.atoms:
         out += -m * np.expm1(-pts * t)
@@ -555,56 +569,172 @@ def levy_eval(triple: LevyTriple, x):
         if not _levy_moment_finite(triple.density):
             raise ParameterError("Levy density fails the integrability requirement "
                                  "integral min(2t, 1) m(t) dt < inf")
-        out += np.array([_levy_integral(triple.density, float(v)) for v in pts])
+        pos = np.flatnonzero(pts > 0.0)
+        for i in range(0, pos.size, _COLUMNS):
+            cols = pos[i:i + _COLUMNS]
+            out[cols] += _levy_integral(triple.density, pts[cols])
     return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def _integral(pieces, gate: float, error: type, message: str) -> float:
-    """Sum of quad pieces ``(f, a, b, quad keywords)``.
-
-    Raise ``error(message)`` unless the sum is finite and the summed error
-    estimate is at most gate * max(1, |sum|); message may name the sum as
-    {value} and the error estimate as {bound}. Convergence warnings are
-    dropped: the error estimates judge the quadrature, so a warning would
-    only repeat the raised error.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    total = bound = 0.0
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for f, a, b, kw in pieces:
-            value, err = quad(f, a, b, **kw)[:2]
-            total += value
-            bound += err
-    if not np.isfinite(total) or bound > gate * max(1.0, abs(total)):
-        raise error(message.format(value=total, bound=bound))
-    return total
 
 
 @functools.lru_cache(maxsize=64)
 def _levy_moment_finite(density: FunctionExpr) -> bool:
     """Whether quadrature finds integral min(2t, 1) m(t) dt finite: the Levy
     condition on m, and by Fubini the min(s, s^2) condition on mu."""
-    f = lambda t: min(2.0 * t, 1.0) * evaluate(density, t)
-    kw = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+    f = lambda t: (np.minimum(2.0 * t, 1.0) * evaluate(density, t))[:, None]
+    what = lambda j: "the Levy moment integral"
     try:
-        _integral([(f, 0.0, 0.5, kw), (f, 0.5, np.inf, kw)], 1e-4,
-                  QuadratureError, "")
+        _integral(f, 0.5, 1e-10, 1e-4, what)
     except QuadratureError:
         return False
     return True
 
 
-def _levy_integral(density: FunctionExpr, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    f = lambda t: -np.expm1(-x * t) * evaluate(density, t)
-    kw = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
-    knee = 1.0 / x
-    return _integral([(f, 0.0, knee, kw), (f, knee, np.inf, kw)], 1e-6,
-                     QuadratureError, f"Levy integral did not converge at x={x:g} "
-                     "(estimate {value!r}, error bound {bound:g})")
+def _levy_integral(density: FunctionExpr, x: np.ndarray) -> np.ndarray:
+    """integral (1 - e^(-x t)) m(t) dt at each x > 0, as integral
+    (1 - e^(-u)) m(u / x) / x du, so every x shares the nodes u."""
+    f = lambda u: -np.expm1(-u)[:, None] * evaluate(density, np.divide.outer(u, x)) / x
+    what = lambda j: f"Levy integral at x={x[j]:g}"
+    return _integral(f, 1.0, 1e-11, 1e-6, what)
+
+
+# ----------------------------------------------------------------------
+# quadrature
+
+# QUADPACK's G10K21 pair on [-1, 1], listed on [-1, 0] from the outer end:
+# the Kronrod nodes, their weights, and the Gauss weights, zero at the
+# Kronrod nodes that the Gauss rule lacks
+_HALF_X = -np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_HALF_K = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_HALF_G = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0])
+_GK_X = np.concatenate([_HALF_X, -_HALF_X[-2::-1]])
+_GK_K = np.concatenate([_HALF_K, _HALF_K[-2::-1]])
+_GK_G = np.concatenate([_HALF_G, _HALF_G[-2::-1]])
+_EPS = float(np.finfo(float).eps)
+
+_GK_LEVELS = 50        # bisection levels of one quadrature
+_GK_INTERVALS = 2000   # intervals alive at once in one quadrature
+_COLUMNS = 32          # integrands (points x) sharing one quadrature
+_DYADIC = 40           # pieces [c 2^k, c 2^(k+1)] between a knee c and an open end
+_HALF_PERIODS = 48     # pieces [k pi, (k+1) pi] of a sine-weighted tail
+_EULER = 24            # of which the last ones go through Euler's transformation
+
+
+def _gauss_kronrod(f, edges: np.ndarray, epsrel: float, what):
+    """Integrals of f's columns over the pieces [edges[i], edges[i + 1]] and
+    their error estimates, each of shape (pieces, columns).
+
+    f maps a 1-d array of nodes to an array (nodes, columns). Every level
+    evaluates the nodes of all new intervals in one call to f and keeps each
+    interval's estimate and error. While a column's errors sum to more than
+    epsrel times the sum of its |estimates| (the integral, for an integrand
+    of one sign), the intervals with its largest errors are bisected
+    until the rest sum to at most half that. Reaching _GK_LEVELS levels or
+    _GK_INTERVALS intervals first raises QuadratureError, naming the cap and
+    what(j) of the worst column j.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    piece = np.arange(lo.size)
+    kept = None
+    for _ in range(_GK_LEVELS):
+        new = (*_gk21(f, lo, hi), lo, hi, piece)
+        est, err, lo, hi, piece = new if kept is None else map(np.concatenate, zip(kept, new))
+        tol = epsrel * np.abs(est).sum(0)
+        excess = err.sum(0) - tol
+        if (excess <= 0.0).all():
+            values, errors = np.zeros((2, edges.size - 1, est.shape[1]))
+            np.add.at(values, piece, est)
+            np.add.at(errors, piece, err)
+            return values, errors
+        order = np.argsort(-err, axis=0)
+        rest = np.take_along_axis(err, order, 0)[::-1].cumsum(0)[::-1]
+        split = np.zeros(err.shape, dtype=bool)
+        np.put_along_axis(split, order, (rest > 0.5 * tol) & (excess > 0.0), 0)
+        split = split.any(1)
+        if est.shape[0] + split.sum() > _GK_INTERVALS:
+            cap = f"{_GK_INTERVALS} intervals"
+            break
+        kept = tuple(a[~split] for a in (est, err, lo, hi, piece))
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        piece = np.tile(piece[split], 2)
+    else:
+        cap = f"{_GK_LEVELS} levels"
+    j = int(np.argmax(excess))
+    raise QuadratureError(f"{what(j)} did not converge within the cap of {cap} "
+                          f"(estimate {float(est[:, j].sum())!r}, error bound {err[:, j].sum():g})")
+
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray):
+    """K21 estimates and QUADPACK's error estimates, each (intervals,
+    columns), of f's columns on the intervals [lo, hi], from one call to f."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X
+    with np.errstate(all="ignore"):
+        fv = f(nodes.ravel()).reshape(*nodes.shape, -1) * half[:, None, None]
+        est = np.einsum("k,nkc->nc", _GK_K, fv)
+        err = np.abs(est - np.einsum("k,nkc->nc", _GK_G, fv))
+        asc = np.einsum("k,nkc->nc", _GK_K, np.abs(fv - 0.5 * est[:, None]))
+        err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
+        return est, np.maximum(err, 50.0 * _EPS * np.einsum("k,nkc->nc", _GK_K, np.abs(fv)))
+
+
+def _geometric_rest(p: np.ndarray):
+    """The pieces beyond p[-1] toward an open end, summed as the geometric
+    series through p[-2] and p[-1], and the change from the ratio of p[-3]
+    and p[-2] as its error. Pieces that do not shrink give an infinite sum."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest, alt = (np.where((r >= 0.0) & (r < 1.0), p[-1] * r / (1.0 - r), np.inf)
+                     for r in (p[-1] / p[-2], p[-2] / p[-3]))
+        gone = p[-1] == 0.0
+        return np.where(gone, 0.0, rest), np.where(gone, 0.0, np.abs(rest - alt))
+
+
+def _euler_sum(t: np.ndarray):
+    """Sum of the alternating series that starts with the rows t, by Euler's
+    transformation (repeated averaging of the partial sums), and its next
+    term |D^p a_0| / 2^p, where a_j = (-1)^j t_j and D a_j = a_j - a_(j+1).
+    That term bounds what is left when the differences of the a_j keep
+    their signs, as they do for a completely monotone density."""
+    a = t * (-1.0) ** np.arange(t.shape[0])[:, None]
+    total = np.zeros(t.shape[1])
+    for i in range(t.shape[0] - 1):
+        total += a[0] / 2.0 ** (i + 1)
+        a = a[:-1] - a[1:]
+    return total, np.abs(a[0]) / 2.0 ** (t.shape[0] - 1)
+
+
+def _integral(f, knee: float, epsrel: float, gate: float, what) -> np.ndarray:
+    """integral_0^inf f(t) dt per column, gated: the pieces [knee 2^k,
+    knee 2^(k+1)] for -_DYADIC <= k < _DYADIC, plus geometric rests at both
+    ends."""
+    v, e = _gauss_kronrod(f, knee * 2.0 ** np.arange(-_DYADIC, _DYADIC + 1), epsrel, what)
+    (head, head_err), (tail, tail_err) = _geometric_rest(v[2::-1]), _geometric_rest(v[-3:])
+    return _gated(v.sum(0) + head + tail, e.sum(0) + head_err + tail_err, gate, what)
+
+
+def _gated(value: np.ndarray, bound: np.ndarray, gate: float, what) -> np.ndarray:
+    """value, unless a column is not finite or its error bound exceeds
+    gate * max(1, |value|): then QuadratureError for the first such column."""
+    bad = ~np.isfinite(value) | ~(bound <= gate * np.maximum(1.0, np.abs(value)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise QuadratureError(f"{what(j)} did not converge "
+                              f"(estimate {float(value[j])!r}, error bound {bound[j]:g})")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -657,12 +787,25 @@ def _spectral_value(f: FunctionExpr, w: float) -> float:
     total = drift * w * w
     if m is None:
         return total
-    knee = 1.0 / w
-    kw = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
-    return total + w * _integral(
-        [(lambda s: math.sin(s * w) * evaluate(m, s), 0.0, knee, kw),
-         (functools.partial(evaluate, m), knee, np.inf, dict(kw, weight="sin", wvar=w))],
-        1e-7, QuadratureError, f"spectral quadrature did not converge at lag {w:g}")
+    return total + float(_spectral_integral(m, np.array([w]))[0])
+
+
+def _spectral_integral(m: FunctionExpr, w: np.ndarray) -> np.ndarray:
+    """integral_0^inf sin(u) m(u / w) du (= w integral sin(w s) m(s) ds) at
+    each lag w > 0: dyadic pieces from pi toward 0 with a geometric rest,
+    then the half periods [k pi, (k+1) pi]. These alternate in sign and
+    shrink, since m decreases (Longman's method): the first add up directly,
+    the last _EULER by Euler's transformation, whose next term joins the
+    gated error."""
+    f = lambda u: np.sin(u)[:, None] * evaluate(m, np.divide.outer(u, w))
+    what = lambda j: f"spectral quadrature at lag {w[j]:g}"
+    edges = math.pi * np.concatenate([2.0 ** np.arange(-_DYADIC, 0.0),
+                                      np.arange(1.0, _HALF_PERIODS + 1.0)])
+    v, e = _gauss_kronrod(f, edges, 1e-12, what)
+    head, head_err = _geometric_rest(v[2::-1])
+    tail, tail_err = _euler_sum(v[-_EULER:])
+    value = v[:-_EULER].sum(0) + head + tail
+    return _gated(value, e.sum(0) + head_err + tail_err, 1e-7, what)
 
 
 def spectral_node(f: FunctionExpr) -> FunctionExpr:

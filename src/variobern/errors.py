@@ -23,7 +23,7 @@ class EvaluationError(VarioBernError, ArithmeticError):
 
 
 class QuadratureError(VarioBernError, ArithmeticError):
-    """Adaptive quadrature failed to converge to the requested accuracy."""
+    """Adaptive quadrature missed its accuracy gate or ran out of its cap."""
 
 
 class DegenerateSystemError(VarioBernError, ValueError):

@@ -127,8 +127,8 @@ def spectral_variogram(f: FunctionExpr) -> Variogram:
     decreasing density m that integrates min(2t, 1)). The resulting model
     evaluates gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds) as
     -Re(i xi f(i xi)) for a continued catalog atom carrying its own Lévy
-    triple, else as drift * xi^2 + xi integral sin(s xi) m(s) ds by split
-    quadrature with a sine-weight tail.
+    triple, else as drift * xi^2 + xi integral sin(s xi) m(s) ds by
+    Gauss-Kronrod quadrature, its tail summed over half periods.
     """
     return make_variogram(alg.spectral_node(f), d=1, mode="norm",
                           construction=f"spectral_variogram({alg.describe(f)})")

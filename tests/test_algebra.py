@@ -6,6 +6,7 @@ digits where special functions are involved).
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from variobern.errors import (
     ConstructionError,
     EvaluationError,
     ParameterError,
+    QuadratureError,
 )
 
 RT = 1e-12
@@ -335,6 +337,66 @@ def test_levy_non_integrable_density_rejected():
     triple = vb.LevyTriple(drift=0.0, constant=0.0, atoms=(), density=bad)
     with pytest.raises(ParameterError):
         vb.levy_eval(triple, 1.0)
+
+
+LEVY_X = np.logspace(-3, 3, 25)
+
+
+@pytest.mark.parametrize("f, closed", [
+    (vb.catalog("log1p"), np.log1p),
+    *[(vb.catalog("power", {"a": a}), lambda x, a=a: x**a) for a in (0.25, 0.5, 0.75)],
+    (vb.catalog("frac_linear", {"lam": 0.7}), lambda x: 0.7 * x / (0.7 + x)),
+], ids=["log1p", "power_0.25", "power_0.5", "power_0.75", "frac_linear_0.7"])
+def test_levy_density_integral_matches_the_closed_form(f, closed):
+    got = vb.levy_eval(f.levy, LEVY_X)
+    assert np.max(np.abs(got - closed(LEVY_X)) / closed(LEVY_X)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [0.01, 0.99])
+def test_levy_integral_of_a_nearly_singular_power_density(a):
+    """m(t) ~ t^(-1-a) is barely integrable at 0 for a near 1 and at inf
+    for a near 0; the geometric rests of the dyadic pieces carry it."""
+    f = vb.catalog("power", {"a": a})
+    got = vb.levy_eval(f.levy, LEVY_X)
+    assert np.max(np.abs(got - LEVY_X**a) / LEVY_X**a) <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e6])
+def test_levy_integral_follows_the_density_far_from_the_unit_scale(lam):
+    """frac_linear's density lam^2 e^(-lam t) puts its mass near t = 1/lam."""
+    f = vb.catalog("frac_linear", {"lam": lam})
+    x = lam * LEVY_X
+    got = vb.levy_eval(f.levy, x)
+    assert np.max(np.abs(got - vb.evaluate(f, x)) / vb.evaluate(f, x)) <= 1e-10
+
+
+def test_levy_eval_calls_evaluate_once_per_level(monkeypatch):
+    """The integrand reads the density through the module's evaluate, all
+    points of one level in one call."""
+    alg = vb.algebra
+    calls = []
+    real = alg.evaluate
+    monkeypatch.setattr(alg, "evaluate", lambda e, x: calls.append(np.size(x)) or real(e, x))
+    density = vb.catalog("frac_linear", {"lam": 0.37}).levy.density
+    vb.levy_eval(vb.LevyTriple(density=density), LEVY_X)
+    assert 2 <= len(calls) <= 10
+    assert max(calls) >= LEVY_X.size * 2 * alg._DYADIC * alg._GK_X.size
+
+
+@pytest.mark.parametrize("f, edges, cap", [
+    (np.reciprocal, np.array([0.0, 1.0]), f"{vb.algebra._GK_LEVELS} levels"),
+    (np.sin, np.array([0.0, 1.0e5]), f"{vb.algebra._GK_INTERVALS} intervals"),
+], ids=["pole", "oscillation"])
+def test_quadrature_that_runs_out_of_its_cap_names_it(f, edges, cap):
+    """1/t on [0, 1], whose pole no node reaches, and sin(t) over 16,000
+    periods each exhaust one of the rule's two caps, without a warning."""
+    alg = vb.algebra
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=rf"test integral did not converge "
+                           rf"within the cap of {cap} \(estimate .+, error bound .+\)"):
+            alg._gauss_kronrod(lambda t: f(t)[:, None], edges, 1e-10,
+                               lambda j: "test integral")
 
 
 def test_levy_negative_argument():

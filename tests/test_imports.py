@@ -23,17 +23,19 @@ import json, sys
 import variobern, variobern.cli
 argv = json.loads(sys.argv[1])
 code = variobern.cli.main(argv) if argv else None
+exec(sys.argv[2])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
-def fresh_run(*argv) -> tuple[int | None, set[str]]:
+def fresh_run(*argv, then: str = "") -> tuple[int | None, set[str]]:
     """Exit code of cli.main(argv) (None without argv) in a new interpreter
-    that first imports variobern and its CLI, and the scipy modules loaded."""
+    that first imports variobern and its CLI, and the scipy modules loaded
+    once the Python statements then have run after it."""
     src = str(REPO / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(list(argv))],
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(list(argv)), then],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -100,3 +102,26 @@ def test_validate_on_the_exponential_covariance_loads_no_special_functions(
                               "--out", str(tmp_path / "out.json"))
     assert code == 0
     assert "scipy.linalg" in modules and "scipy.special" not in modules
+
+
+def test_building_and_loading_a_spectral_variogram_loads_no_scipy():
+    """Both gate the Levy carrier with the package's own quadrature."""
+    assert fresh_run(then="import variobern as vb\n"
+                          "m = vb.spectral_variogram(vb.catalog('log1p'))\n"
+                          "vb.model_from_json(vb.model_to_json(m))") == (None, set())
+
+
+def test_validate_on_a_spectral_variogram_loads_no_integrator(tmp_path):
+    model = tmp_path / "spectral.json"
+    model.write_text(json.dumps(vb.model_to_json(vb.spectral_variogram(vb.catalog("log1p")))))
+    vb.write_points_csv(vb.PointSet(np.linspace(0.0, 5.0, 12)[:, None]), tmp_path / "line.csv")
+    code, modules = fresh_run("validate", "--model", str(model),
+                              "--points", str(tmp_path / "line.csv"),
+                              "--out", str(tmp_path / "out.json"))
+    assert code == 0
+    assert "scipy.linalg" in modules and "scipy.integrate" not in modules
+
+
+def test_levy_eval_on_a_density_loads_no_scipy():
+    assert fresh_run(then="import variobern as vb\n"
+                          "vb.levy_eval(vb.catalog('log1p').levy, [0.5, 2.0])") == (None, set())

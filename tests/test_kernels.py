@@ -265,6 +265,20 @@ def test_spectral_quadrature_over_m_matches_the_continuation(f):
     assert np.max(np.abs(quad - closed) / closed) <= 1e-11
 
 
+@pytest.mark.parametrize("f, lags", [
+    (vb.catalog("power", {"a": 0.01}), SPECTRAL_LAGS),
+    (vb.catalog("power", {"a": 0.99}), SPECTRAL_LAGS),
+    (vb.catalog("frac_linear", {"lam": 1e-6}), 1e-6 * SPECTRAL_LAGS),
+    (vb.catalog("frac_linear", {"lam": 1e6}), 1e6 * SPECTRAL_LAGS),
+], ids=["power_0.01", "power_0.99", "frac_linear_1e-6", "frac_linear_1e6"])
+def test_spectral_quadrature_on_densities_far_from_the_test_carriers(f, lags):
+    """A density barely integrable at 0 or at inf, and one whose mass lies
+    near t = 1e6 or 1e-6."""
+    quad = vb.evaluate(by_quadrature(f), lags)
+    closed = vb.evaluate(vb.spectral_node(f), lags)
+    assert np.max(np.abs(quad - closed) / closed) <= 1e-10
+
+
 def test_a_foreign_triple_is_never_read_through_the_continuation():
     """log1p carrying frac_linear(1)'s triple is frac_linear's variogram."""
     carrier = vb.with_levy(vb.catalog("log1p"),
