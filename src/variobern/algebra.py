@@ -629,7 +629,7 @@ _GK_LEVELS = 50        # bisection levels of one quadrature
 _GK_INTERVALS = 2000   # intervals alive at once in one quadrature
 _COLUMNS = 32          # integrands (points x) sharing one quadrature
 _DYADIC = 40           # pieces [c 2^k, c 2^(k+1)] between a knee c and an open end
-_HALF_PERIODS = 48     # pieces [k pi, (k+1) pi] of a sine-weighted tail
+_HALF_PERIODS = 48     # a sine-weighted tail ends at this many pi, in half periods
 _EULER = 24            # of which the last ones go through Euler's transformation
 
 
