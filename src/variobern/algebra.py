@@ -9,6 +9,11 @@ complete - an empty set means "unverified", never "disproved". Tags declared
 through with_tags or loaded from JSON join ``tags`` for display, but no proof
 reads them.
 
+A spectral node on a continued catalog atom carrying its catalog triple
+evaluates through the continuation, its triple not gated numerically: the
+catalog states it. Other carriers are gated when the node is built, and a
+call integrates each of its distinct lags once; nothing is cached.
+
 Integrals (a Levy density's moment gate, levy_eval, a spectral node whose
 carrier has no continuation) use one adaptive Gauss-Kronrod rule in numpy:
 QUADPACK's G10K21 pair on every interval, a level of bisections of the
@@ -504,14 +509,7 @@ def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
         ratio = _clamp_roundoff(xs / _ev(f, xs))
         return hv * _ev(g, ratio)
     if e.kind == "spectral":
-        (f,) = e.children
-        w = np.abs(x)
-        # the continuation serves the interior lags, _spectral_value the rest
-        cont = _own_catalog_triple(f) & (w != 0.0) & ~np.isinf(w)
-        out = np.empty_like(w)
-        out[~cont] = [_spectral_value(f, float(h)) for h in w[~cont]]
-        out[cont] = -np.real(1j * w[cont] * _ev(f, 1j * w[cont]))
-        return out
+        return _spectral(e.children[0], np.abs(x))
     raise EvaluationError(f"unknown expression kind '{e.kind}'")
 
 
@@ -569,10 +567,8 @@ def levy_eval(triple: LevyTriple, x):
         if not _levy_moment_finite(triple.density):
             raise ParameterError("Levy density fails the integrability requirement "
                                  "integral min(2t, 1) m(t) dt < inf")
-        pos = np.flatnonzero(pts > 0.0)
-        for i in range(0, pos.size, _COLUMNS):
-            cols = pos[i:i + _COLUMNS]
-            out[cols] += _levy_integral(triple.density, pts[cols])
+        pos = pts > 0.0
+        out[pos] += _by_columns(_levy_integral, triple.density, pts[pos])
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -587,6 +583,14 @@ def _levy_moment_finite(density: FunctionExpr) -> bool:
     except QuadratureError:
         return False
     return True
+
+
+def _by_columns(integral, density: FunctionExpr, x: np.ndarray) -> np.ndarray:
+    """integral(density, column) over x, _COLUMNS points a quadrature."""
+    out = np.empty_like(x)
+    for i in range(0, x.size, _COLUMNS):
+        out[i:i + _COLUMNS] = integral(density, x[i:i + _COLUMNS])
+    return out
 
 
 def _levy_integral(density: FunctionExpr, x: np.ndarray) -> np.ndarray:
@@ -774,20 +778,23 @@ def _own_catalog_triple(f: FunctionExpr) -> bool:
     return f.kind == "atom" and f.name in COMPLEX_ATOMS and not _foreign_levy(f)
 
 
-@functools.lru_cache(maxsize=65536)
-def _spectral_value(f: FunctionExpr, w: float) -> float:
+def _spectral(f: FunctionExpr, w: np.ndarray) -> np.ndarray:
+    """The spectral node on carrier f at lags w >= 0. At inf the cosine term
+    vanishes (Riemann-Lebesgue), leaving mu's mass m(0+); the quadrature
+    takes each distinct lag once, ascending, so a column holds one scale."""
     drift, m = spectral_measure(f)
-    if w == 0.0:
-        return 0.0
-    if w == math.inf:
-        # Riemann-Lebesgue: the cosine term vanishes, leaving mu's mass m(0+)
-        if drift > 0.0:
-            return math.inf
-        return 0.0 if m is None else float(_ev(m, np.zeros(1))[0])
-    total = drift * w * w
-    if m is None:
-        return total
-    return total + float(_spectral_integral(m, np.array([w]))[0])
+    out = np.zeros_like(w)
+    inf = np.isinf(w)
+    if inf.any():
+        out[inf] = math.inf if drift > 0.0 else 0.0 if m is None else _ev(m, np.zeros(1))[0]
+    body = (w != 0.0) & ~inf
+    if _own_catalog_triple(f):
+        out[body] = -np.real(1j * w[body] * _ev(f, 1j * w[body]))
+        return out
+    lags, back = np.unique(w[body], return_inverse=True)
+    quad = 0.0 if m is None else _by_columns(_spectral_integral, m, lags)
+    out[body] = (drift * lags * lags + quad)[back]
+    return out
 
 
 def _spectral_integral(m: FunctionExpr, w: np.ndarray) -> np.ndarray:
@@ -811,10 +818,9 @@ def _spectral_integral(m: FunctionExpr, w: np.ndarray) -> np.ndarray:
 def spectral_node(f: FunctionExpr) -> FunctionExpr:
     """Wrap a drift+density Levy carrier into an evaluable radial profile.
 
-    Every spectral node gates its carrier when it is built, so each one is
-    a variogram in d = 1: the Levy triple needs a vanishing constant term
-    and a density m, checked decreasing on a log grid, that integrates
-    min(2t, 1).
+    Every spectral node is a variogram in d = 1: the Levy triple needs a
+    vanishing constant term, and a density m other than a catalog atom's
+    own is checked decreasing on a log grid and integrating min(2t, 1).
     """
     return _node("spectral", children=(f,))
 
@@ -825,7 +831,7 @@ def _check_spectral_carrier(f: FunctionExpr) -> None:
         raise ConstructionError(
             "spectral construction requires a vanishing constant term"
         )
-    if m is not None:
+    if m is not None and not _own_catalog_triple(f):
         grid = np.logspace(-3, 3, 61)
         m_vals = evaluate(m, grid)
         rises = np.diff(m_vals)

@@ -196,7 +196,10 @@ def _radial_matrix(model, pts: PointSet) -> np.ndarray:
     each; every row is written to K[i, i+1:] and mirrored to K[i+1:, i],
     and the diagonal is the value at the zero lag. Each lag goes through the
     same arithmetic as in the full lag tensor, so the matrix is bitwise the
-    one model(pts.lags()) gives.
+    one model(pts.lags()) gives. That does not hold across pair blocks for
+    a quadrature spectral carrier, whose value at a lag depends on the
+    other lags sharing its quadrature column; the matrix stays bitwise
+    symmetric, since each row is mirrored.
     """
     x, n = pts.coords, pts.n
     k = np.empty((n, n))
@@ -592,6 +595,8 @@ def detect_period(gamma, search_radius: float, tol: float = 1e-8,
     """
     if not (0 < search_radius < np.inf and 0 < tol < np.inf):
         raise ParameterError("search_radius and tol must be positive and finite")
+    if axis not in range(d):
+        raise ParameterError(f"axis must be in range({d}), got {axis!r}")
     unit = np.zeros(d)
     unit[axis] = 1.0
 

@@ -123,12 +123,14 @@ def nonstationary_kernel(g, d: int) -> NonstationaryKernel:
 def spectral_variogram(f: FunctionExpr) -> Variogram:
     """One-dimensional variogram from a drift + density Lévy carrier.
 
-    algebra.spectral_node gates the carrier (a vanishing constant term, a
-    decreasing density m that integrates min(2t, 1)). The resulting model
-    evaluates gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds) as
-    -Re(i xi f(i xi)) for a continued catalog atom carrying its own Lévy
-    triple, else as drift * xi^2 + xi integral sin(s xi) m(s) ds by
-    Gauss-Kronrod quadrature, its tail summed over half periods.
+    algebra.spectral_node requires a vanishing constant term. The resulting
+    model evaluates gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds)
+    as -Re(i xi f(i xi)) for a continued catalog atom carrying its own Lévy
+    triple, which the catalog states and so is not gated numerically. Any
+    other carrier's density m is gated (decreasing, integrating min(2t, 1))
+    and gamma is drift * xi^2 + xi integral sin(s xi) m(s) ds by
+    Gauss-Kronrod quadrature, its tail summed over half periods: each
+    distinct lag of a call once, with no cache between calls.
     """
     return make_variogram(alg.spectral_node(f), d=1, mode="norm",
                           construction=f"spectral_variogram({alg.describe(f)})")

@@ -289,6 +289,12 @@ def test_detect_period_gate():
         vb.detect_period(abs_gamma, search_radius=-1.0)
 
 
+@pytest.mark.parametrize("d, axis", [(1, 1), (1, -1), (2, 2)])
+def test_detect_period_rejects_an_axis_outside_the_dimension(d, axis):
+    with pytest.raises(ParameterError, match=rf"axis must be in range\({d}\)"):
+        vb.detect_period(abs_gamma, search_radius=10.0, d=d, axis=axis)
+
+
 def test_eventual_constancy_detects_plateau():
     prof = lambda r: np.minimum(np.asarray(r, dtype=float), 1.5) / 1.5
     rep = vb.eventual_constancy_check(prof, inner=1.5, outer=4.5)
@@ -700,6 +706,8 @@ RADIAL_MODELS = {
     "wendland_aniso_d3": lambda: vb.wendland(1.5, 3, 3, A=_A3),
     "exponential_aniso_d2": lambda: vb.exponential_covariance(1.5, d=2, A=_A2),
     "spectral_d1": lambda: vb.spectral_variogram(vb.catalog("log1p")),
+    "spectral_quadrature_d1": lambda: vb.spectral_variogram(
+        vb.with_levy(vb.affine(vb.catalog("log1p")), vb.catalog("log1p").levy)),
 }
 
 

@@ -1,8 +1,8 @@
 """Start-up cost: scipy is imported by the functions that use it, not by the
 package, so a command loads only the scipy modules it runs.
 
-pytest itself imports scipy.integrate (pyproject's filterwarnings names its
-IntegrationWarning), so each case runs in a fresh interpreter.
+The test process holds every module that earlier tests imported, so each
+case runs in a fresh interpreter.
 """
 
 import json

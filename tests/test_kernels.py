@@ -316,3 +316,28 @@ def test_one_integral_of_m_gates_levy_eval_and_the_spectral_node():
     after = alg._levy_moment_finite.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 2
+
+
+@pytest.mark.parametrize("lam", [1e-14, 1e-12, 1e11, 1e12])
+def test_a_catalog_carrier_is_not_gated_numerically(lam):
+    """frac_linear's density lam^2 e^(-lam t) has its mass beyond the
+    dyadic pieces of the moment gate; the catalog states that triple and the
+    continuation evaluates it, so the node is built and exact."""
+    v = vb.spectral_variogram(vb.catalog("frac_linear", {"lam": lam}))
+    x = np.array([0.1, 1.0, 10.0]) / lam
+    want = lam**2 * x**2 / (lam**2 + x**2)
+    assert np.max(np.abs(v(x[:, None]) - want) / want) <= 1e-12
+
+
+def test_a_quadrature_spectral_node_runs_one_quadrature_per_column(monkeypatch):
+    """64 distinct lags, each given twice, and a 0 are two columns of
+    _COLUMNS distinct lags: two quadratures."""
+    node = by_quadrature(vb.catalog("log1p"))  # its moment gate is one more
+    calls = []
+    real = alg._gauss_kronrod
+    monkeypatch.setattr(alg, "_gauss_kronrod", lambda *a: calls.append(a) or real(*a))
+    lags = np.logspace(-2, 1, 64)
+    got = vb.evaluate(node, np.concatenate([lags, lags[::-1], [0.0]]))
+    assert len(calls) == 2 == 64 // alg._COLUMNS
+    assert np.array_equal(got[:64], got[127:63:-1]) and got[-1] == 0.0
+    assert np.max(np.abs(got[:64] - lags * np.arctan(lags)) / got[:64]) <= 1e-11
