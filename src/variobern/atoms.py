@@ -83,14 +83,15 @@ class AtomSpec:
 def _number(value, what: str, kind: Callable = float):
     """kind(value) for a value read from outside input, or ParameterError.
 
-    An int is never truncated: 2.0 and "2" read as 2, 2.5 is rejected.
-    A bool is not a number, although Python counts it as an int.
+    An int is never truncated: 2.0 and "2" read as 2, 2.5 is rejected, and
+    an integer is taken exactly, however large. A bool is not a number,
+    although Python counts it as an int.
     """
     try:
         if isinstance(value, bool):
             raise TypeError("a boolean is not a number")
         v = kind(value)
-        if kind is int and v != float(value):
+        if kind is int and v != value and v != float(value):
             raise ValueError("not an integer")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed {what} = {value!r}: {exc}") from None

@@ -25,10 +25,11 @@ dense command never pays scipy's import, most of its start-up time.
 
 Simulation factorizes the covariance Gram matrix by eigendecomposition,
 repairing tolerance-level negative eigenvalues with a recorded diagonal
-shift. Replicate i is drawn from its own seed stream, derived from
-(seed, i), and one matrix product colours each fixed-size block of
-replicates, so a replicate never depends on scheduling or on how many
-replicates are drawn.
+shift. Replicate i is drawn from its own seed stream, bit for bit the
+stream of default_rng(SeedSequence((seed, i))); the streams are computed as
+one hashed batch of seed words, set in turn on one reused PCG64. One matrix
+product colours each fixed-size block of replicates, so a replicate never
+depends on scheduling or on how many replicates are drawn.
 """
 
 from __future__ import annotations
@@ -88,8 +89,14 @@ class SimulationSpec:
     n_replicates: int
 
     def __post_init__(self):
-        if self.n_replicates < 1:
+        seed = _number(self.seed, "seed", int)
+        n_replicates = _number(self.n_replicates, "replicate count", int)
+        if seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+        if n_replicates < 1:
             raise ParameterError("need at least one replicate")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_replicates", n_replicates)
 
 
 def _require_sparse_support(model) -> float:
@@ -228,6 +235,60 @@ def ordinary_kriging(model, pts: PointSet, target, mode: str = "dense") -> Krigi
 # and a replicate has the same bits whatever the replicate count
 _COLOUR_ROWS = 64
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, pool of 4 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_hash(const: int, mult: int):
+    """One of SeedSequence's hash chains on uint32 arrays: each call maps
+    x to ((x ^ c) * c') ^ ((x ^ c) * c' >> 16) with c' = c * mult, and
+    moves the chain on to c'."""
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hash_
+
+
+def _stream_states(seed: int, r: int) -> np.ndarray:
+    """(r, 4) uint64 words: row i is SeedSequence((seed, i)).generate_state(4, uint64).
+
+    The hash runs once, on uint32 columns over i: the entropy is the 32-bit
+    words of seed, least significant first, then the one word of i
+    (i < 2**32), and the hash constants never depend on the data.
+    """
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    entropy = [np.full(r, (seed >> k) & _MASK32, np.uint32)
+               for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(r, dtype=np.uint32))
+    hashmix = _seed_hash(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(r, np.uint32))
+            for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out_hash = _seed_hash(_INIT_B, _MULT_B)
+    words = np.stack([out_hash(pool[k % 4]) for k in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
 
 def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
     """Draw Gaussian replicates with the model's Gram matrix as covariance.
@@ -237,7 +298,9 @@ def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
     Returns (replicates, info): replicates has shape (n_replicates, n sites),
     and row i is F g_i: F = V sqrt(diag(w) + shift) from the Gram matrix's
     eigenpairs (w, V), and g_i the standard normals of the stream
-    default_rng(SeedSequence((seed, i))). One matrix product colours each
+    default_rng(SeedSequence((seed, i))), bit for bit. The streams are made
+    as one hashed batch of seed words (_stream_states), each set in turn on
+    one reused PCG64 by its seeding rule. One matrix product colours each
     block of _COLOUR_ROWS rows.
     info records the diagonal shift used to repair tolerance-level negative
     eigenvalues, the smallest eigenvalue of the Gram matrix and the
@@ -260,8 +323,14 @@ def simulate_field(spec: SimulationSpec, tol: float = 1e-8):
     factor = v * np.sqrt(w + shift)
     r, b = spec.n_replicates, _COLOUR_ROWS
     g = np.zeros((-(-r // b) * b, spec.sites.n))
-    for i in range(r):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(_stream_states(spec.seed, r).tolist()):
+        # PCG64 seeding: state 0, inc = 2 seq + 1, step, add the seed, step
+        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
+        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=g[i])
     out = np.empty_like(g)
     for s in range(0, len(g), b):
@@ -301,14 +370,16 @@ def empirical_variogram(replicates: np.ndarray, pts: PointSet, bins):
             raise ParameterError("bin edges must be strictly increasing")
     # per-pair sums of (Z_i - Z_j)^2 over replicates, one site row at a time
     # in the pair order of triu_indices: the differences are taken exactly,
-    # not from Gram sums that cancel, into one (n, R) buffer, and their
+    # not from Gram sums that cancel, into one (n - 1, R) buffer, and their
     # squares are summed straight into the pair sums
     zt = np.ascontiguousarray(z.T)
-    buf = np.empty_like(zt)
+    buf = np.empty((pts.n - 1, zt.shape[1]))
     sums = np.empty(iu.size)
     start = 0
     for i in range(pts.n - 1):
-        diff = np.subtract(zt[i + 1:], zt[i], out=buf[i + 1:])
+        # from buf's top: stores into buf[i + 1:] would share the page offset
+        # of the loads from zt[i + 1:] and stall on 4K aliasing
+        diff = np.subtract(zt[i + 1:], zt[i], out=buf[:pts.n - 1 - i])
         np.einsum("jr,jr->j", diff, diff, out=sums[start:start + diff.shape[0]])
         start += diff.shape[0]
     sums *= 0.5

@@ -485,6 +485,15 @@ def test_simulate_rejects_a_tol_that_is_not_positive_and_finite(capsys, tmp_path
     assert out == "" and "tol must be positive and finite" in err
 
 
+def test_simulate_rejects_a_negative_seed(capsys, tmp_path):
+    """--seed -1 used to escape main as a bare ValueError with a traceback."""
+    sites = write_sites(tmp_path / "s.csv", np.linspace(0, 4, 5)[:, None])
+    code, out, err = run(capsys, "simulate", "--model", EXP_COV,
+                         "--points", sites, "--seed", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_empty_bin_prints_nan(capsys, tmp_path):
     sites = write_sites(tmp_path / "s.csv", [[0.0], [4.0]])
     code, out, _ = run(capsys, "simulate", "--model", EXP_COV,

@@ -321,6 +321,63 @@ def test_simulation_spec_gate(exp_model):
         vb.SimulationSpec(exp_model, pts, seed=0, n_replicates=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", True), ("seed", 2.5), ("seed", None),
+    ("n_replicates", True), ("n_replicates", 2.5),
+])
+def test_simulation_spec_reads_seed_and_count_as_integers(exp_model, field, value):
+    """A negative seed used to reach SeedSequence as a bare ValueError, a
+    boolean read as 1 and a fractional count as a bare TypeError."""
+    pts = vb.PointSet(np.zeros((1, 1)))
+    kw = {"seed": 0, "n_replicates": 2, field: value}
+    with pytest.raises(ParameterError):
+        vb.SimulationSpec(exp_model, pts, **kw)
+
+
+def test_simulation_spec_takes_integral_values_as_ints(exp_model):
+    pts = vb.PointSet(np.zeros((1, 1)))
+    spec = vb.SimulationSpec(exp_model, pts, seed=np.int64(7), n_replicates=3.0)
+    assert type(spec.seed) is int and type(spec.n_replicates) is int
+    assert (spec.seed, spec.n_replicates) == (7, 3)
+    assert vb.SimulationSpec(exp_model, pts, 2**64 + 3, 1).seed == 2**64 + 3
+
+
+_STREAM_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_stream_states_are_the_seed_sequence_words(seed):
+    """Pins numpy's SeedSequence hash: a numpy that changed it fails here."""
+    want = np.stack([np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+                     for i in range(300)])
+    got = kriging._stream_states(seed, 300)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+def test_stream_states_refuse_a_negative_seed():
+    with pytest.raises(ParameterError):
+        kriging._stream_states(-1, 3)
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_simulate_draws_the_default_rng_streams_bit_for_bit(seed):
+    """The replicates are the blocked colouring of the normals of
+    default_rng(SeedSequence((seed, i))), with every bit equal; a numpy
+    that changed PCG64's seeding rule fails here."""
+    model = vb.exponential_covariance(0.5, d=2)
+    pts = vb.PointSet(np.random.default_rng(9).uniform(0, 5, size=(25, 2)))
+    r, b = 70, kriging._COLOUR_ROWS
+    z, info = vb.simulate_field(vb.SimulationSpec(model, pts, seed, r))
+    g = np.zeros((-(-r // b) * b, pts.n))
+    for i in range(r):
+        g[i] = np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal(pts.n)
+    w, v = np.linalg.eigh(kriging.build_gamma_matrix(model, pts))
+    factor = v * np.sqrt(w + info["diag_shift"])
+    want = np.concatenate([g[s:s + b] @ factor.T for s in range(0, len(g), b)])
+    assert np.array_equal(z, want[:r])
+
+
 # ----------------------------------------------------------------------
 # empirical variogram
 
