@@ -439,8 +439,9 @@ def _exact_limit(e: FunctionExpr, x: float) -> float | None:
 
 def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
     # rounding may push a theoretically nonnegative inner value a hair below 0;
-    # complex values have no sign to repair
-    if np.iscomplexobj(v):
+    # complex values have no sign to repair, and an array whose least entry
+    # is >= 0 nothing to repair (a NaN or -inf entry fails that test)
+    if np.iscomplexobj(v) or v.min(initial=math.inf) >= 0.0:
         return v
     finite = v[np.isfinite(v)]
     scale = max(1.0, float(np.abs(finite).max())) if finite.size else 1.0
@@ -452,7 +453,12 @@ _REAL_ONLY = frozenset({"combine", "dualize", "uchiyama", "spectral"})
 
 
 def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
-    """Evaluate e at real x >= 0 or at complex x off the negative real axis."""
+    """Evaluate e at real x >= 0 or at complex x off the negative real axis.
+
+    An atom whose input holds no 0 and no inf is its body applied to the
+    whole array; only an input that holds one of them takes the endpoint
+    branch, which fills those entries from the atom's limits.
+    """
     if e.kind in _REAL_ONLY and np.iscomplexobj(x):
         raise EvaluationError(
             f"complex evaluation is unsupported for node kind '{e.kind}'"
@@ -463,6 +469,8 @@ def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
                 f"atom '{e.name}' has no complex continuation implemented"
             )
         spec, p = REGISTRY[e.name], e.params_dict
+        if x.all() and not np.isinf(x).any():
+            return spec.body(x, p)
         out = np.empty_like(x)
         zero = x == 0.0
         infm = np.isinf(x)

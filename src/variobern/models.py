@@ -126,13 +126,19 @@ class _RadialModel:
     def certified(self) -> bool:
         return self.certificate is not None
 
+    @functools.cached_property
+    def _isotropic(self) -> bool:
+        # A = I: a finite lag times I differs from the lag at most in the sign
+        # of a zero component, which squaring removes, so r^2 keeps its bits
+        return np.array_equal(self.anisotropy, np.eye(self.d))
+
     def radial_argument(self, lags) -> np.ndarray:
         lag = np.asarray(lags, dtype=float)
         if lag.ndim == 0 or lag.shape[-1] != self.d:
             raise ParameterError(
                 f"lags must have trailing dimension {self.d}, got shape {lag.shape}"
             )
-        y = lag @ self.anisotropy.T
+        y = lag if self._isotropic else lag @ self.anisotropy.T
         r2 = np.einsum("...i,...i->...", y, y)
         return r2 if self.mode == "squared_norm" else np.sqrt(r2)
 

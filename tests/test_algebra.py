@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import variobern as vb
+from variobern.atoms import COMPLEX_ATOMS, REGISTRY
+from variobern.cli import _sample_params
 from variobern.errors import (
     ConstructionError,
     EvaluationError,
@@ -69,6 +71,127 @@ def test_matern_small_argument_series():
     f = vb.catalog("matern", {"alpha": 1.0, "nu": 1.5})
     vals = vb.evaluate(f, np.array([1e-30, 1e-16, 1e-8]))
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
+
+
+# x = z^2 for 17 log-spaced z = alpha sqrt(x) in [1e-4, 700] (alpha = 1), and
+# 1 - 2^(1-nu)/Gamma(nu) z^nu K_nu(z) there from mpmath at 40 digits
+MATERN_X = (1e-08, 7.171950030229159e-08, 5.143686723610402e-07, 3.6890264152886938e-06,
+            2.6457513110645906e-05, 0.00018975196195368524, 0.001360891589269775,
+            0.00976024647480197, 0.07, 0.5020365021160411, 3.600580706527282,
+            25.823184907020913, 185.2025917745214, 1328.2637336757941, 9526.241124888427,
+            68321.72532361395, 490000.0)
+MATERN_REF = {
+    0.5: (9.99950001666625e-05, 0.0002677691103619419, 0.0007169378801594865,
+          0.0019188405076685062, 0.005130480619444879, 0.013680606691497902,
+          0.03621810903140626, 0.09407065325759922, 0.2324680188257072,
+          0.5076401081098313, 0.8500599332211521, 0.9937903564822501,
+          0.9999987705158818, 0.9999999999999999, 1.0, 1.0, 1.0),
+    1.5: (4.9996666791663335e-09, 3.585334851459228e-08, 2.570614016989111e-07,
+          1.842153090080185e-06, 1.3183480882456436e-05, 9.400918438925856e-05,
+          0.0006639404878059537, 0.004570305877162159, 0.0293981442781184,
+          0.15878079996841843, 0.5655457147536224, 0.9622351103897737,
+          0.9999820385699265, 0.9999999999999944, 1.0, 1.0, 1.0),
+    2.5: (1.6666666625002223e-09, 1.195324983609226e-08, 8.572810104042534e-08,
+          6.148371694237921e-07, 4.4095564316587605e-06, 3.1623837724839624e-05,
+          0.00022673959803606094, 0.0016229413061747697, 0.0114890647173849,
+          0.0763865873328276, 0.385588610893845, 0.908784186134594,
+          0.9999061373548509, 0.9999999999999286, 1.0, 1.0, 1.0),
+}
+
+
+def test_half_integer_matern_is_accurate_to_small_arguments():
+    """1 - t for t = 2^(1-nu)/Gamma(nu) z^nu K_nu(z) cancels as z -> 0 (a
+    relative error of 1e-7 at z = 1e-4); the closed form for nu = m + 1/2
+    does not."""
+    for nu, want in MATERN_REF.items():
+        got = vb.evaluate(vb.catalog("matern", {"alpha": 1.0, "nu": nu}),
+                          np.array(MATERN_X))
+        assert np.allclose(got, want, rtol=1e-11, atol=0.0), nu
+    # nu = 1/2 is 1 - e^(-z) below z = 1e-4 too, where the series z - z^2/2
+    # of the other orders is off by z/6 relative
+    x = np.array([1e-16, 1e-12, 1e-9])
+    got = vb.evaluate(vb.catalog("matern", {"alpha": 1.0, "nu": 0.5}), x)
+    assert np.allclose(got, -np.expm1(-np.sqrt(x)), rtol=1e-15, atol=0.0)
+
+
+def test_matern_of_a_high_half_integer_order():
+    """At nu = 200.5, Gamma(nu) overflows the Bessel formula (which read 1
+    everywhere) and math.gamma(1 + nu) the small-z series; mpmath reference."""
+    f = vb.catalog("matern", {"alpha": 1.0, "nu": 200.5})
+    got = vb.evaluate(f, np.array([1e-10, 1.0, 900.0, 1e4, 9e4]))
+    want = [1.2531328320801216e-13, 0.001252344038470513, 0.6752305434280055,
+            0.999994794196928, 1.0]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_matern_of_other_orders_keeps_the_bessel_formula():
+    from scipy import special as sc
+    nu = 1.2
+    z = np.geomspace(1e-4, 700.0, 60)
+    want = 1.0 - 2.0 ** (1.0 - nu) / sc.gamma(nu) * z**nu * sc.kv(nu, z)
+    got = vb.evaluate(vb.catalog("matern", {"alpha": 1.0, "nu": nu}), z * z)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# ----------------------------------------------------------------------
+# the atom fast path: an input with no 0 and no inf skips the endpoint branch
+
+FAST_X = np.concatenate([np.geomspace(1e-12, 1e5, 120),
+                         np.random.default_rng(3).uniform(0.0, 4.0, 80) + 1e-3])
+
+
+def _fast_and_masked(e, x):
+    """e at x through the fast path, and through the endpoint branch, which a
+    leading 0 forces on every atom of e (the 0 dropped again)."""
+    lead = np.zeros(1, dtype=x.dtype)
+    with np.errstate(all="ignore"):
+        return vb.algebra._ev(e, x), vb.algebra._ev(e, np.concatenate([lead, x]))[1:]
+
+
+def _catalog_samples():
+    out = [(name, _sample_params(spec)) for name, spec in REGISTRY.items()]
+    # the closed form and the Bessel branch of matern as well
+    return out + [("matern", {"alpha": 1.3, "nu": nu}) for nu in (0.5, 1.5, 2.5, 1.2)]
+
+
+@pytest.mark.parametrize("name,params", _catalog_samples())
+def test_atom_fast_path_keeps_the_endpoint_branch_bits(name, params):
+    fast, masked = _fast_and_masked(vb.catalog(name, params), FAST_X)
+    assert np.array_equal(fast, masked, equal_nan=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vb.compose(vb.catalog("log1p"), vb.catalog("power", {"a": 0.5})),
+    lambda: vb.compose(vb.catalog("exp_decay", {"a": 1.0}),
+                       vb.catalog("matern", {"alpha": 1.0, "nu": 1.5})),
+    lambda: vb.fpow(vb.catalog("cauchy", {"alpha": 0.5, "beta": 1.0}), 0.7),
+    lambda: vb.fprod(vb.catalog("sqrt_arctan"), vb.catalog("frac_linear", {"lam": 2.0})),
+    lambda: vb.affine(vb.catalog("gamma_tail", {"a": 1.0, "nu": 0.5}), shift=1.5,
+                      scale=-0.5),
+    lambda: vb.fpow(vb.affine(vb.catalog("exp_one_minus", {"a": 1.0}), scale=2.0), 0.5),
+], ids=["compose", "compose_matern", "power", "product", "affine", "power_affine"])
+def test_tree_fast_path_keeps_the_endpoint_branch_bits(build):
+    fast, masked = _fast_and_masked(build(), FAST_X)
+    assert np.array_equal(fast, masked)
+    assert np.array_equal(vb.evaluate(build(), FAST_X), fast)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_ATOMS))
+def test_complex_fast_path_keeps_the_endpoint_branch_bits(name):
+    f = vb.catalog(name, _sample_params(REGISTRY[name]))
+    z = 1j * FAST_X
+    fast, masked = _fast_and_masked(f, z)
+    assert np.array_equal(fast, masked)
+    assert np.array_equal(vb.evaluate_complex(f, z), fast)
+
+
+def test_clamp_roundoff_contract():
+    clamp = vb.algebra._clamp_roundoff
+    got = clamp(np.array([-1e-12, -1e-3, np.nan, -np.inf, 2.0, 0.0]))
+    assert np.array_equal(got, [0.0, -1e-3, np.nan, -np.inf, 2.0, 0.0], equal_nan=True)
+    v = np.array([0.0, -0.0, 1e-300, 3.5, np.inf])
+    got = clamp(v)
+    assert np.array_equal(got, v) and np.array_equal(np.signbit(got), np.signbit(v))
 
 
 def test_wendland_profile_values():

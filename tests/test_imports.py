@@ -50,7 +50,8 @@ def inputs(tmp_path):
                         tmp_path / "sites.csv")
     for name, model in (("ma_product", vb.ma_product(0.5, 1.5, d=2)),
                         ("wendland", vb.wendland(2.5, 2, 2)),
-                        ("exponential", vb.exponential_covariance(0.5, d=2))):
+                        ("exponential", vb.exponential_covariance(0.5, d=2)),
+                        ("matern", vb.matern_covariance(1.0, 1.5, d=2))):
         (tmp_path / f"{name}.json").write_text(json.dumps(vb.model_to_json(model)))
     return lambda name: str(tmp_path / name)
 
@@ -98,6 +99,15 @@ def test_simulate_and_grid_on_the_exponential_covariance_load_no_scipy(inputs, t
 def test_validate_on_the_exponential_covariance_loads_no_special_functions(
         inputs, tmp_path):
     code, modules = fresh_run("validate", "--model", inputs("exponential.json"),
+                              "--points", inputs("sites.csv"),
+                              "--out", str(tmp_path / "out.json"))
+    assert code == 0
+    assert "scipy.linalg" in modules and "scipy.special" not in modules
+
+
+def test_validate_on_a_half_integer_matern_loads_no_special_functions(inputs, tmp_path):
+    """nu = 3/2 evaluates in closed form, (1 + z) e^(-z), without K_nu."""
+    code, modules = fresh_run("validate", "--model", inputs("matern.json"),
                               "--points", inputs("sites.csv"),
                               "--out", str(tmp_path / "out.json"))
     assert code == 0

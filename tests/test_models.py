@@ -59,6 +59,32 @@ def test_anisotropy_gates():
         v(np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("mode", ["squared_norm", "norm"])
+def test_isotropic_radial_argument_keeps_the_bits_of_the_identity_product(mode):
+    """A = I skips the product with A; r^2 is bitwise what lag @ I gives."""
+    rng = np.random.default_rng(5)
+    lags = np.concatenate([rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-8, 8, (50, 1)),
+                           [[-0.0, 0.0, -0.0], [-0.0, 1.5, -2.0], [0.0, -0.0, 3.0]]])
+    v = vb.make_variogram(vb.catalog("log1p"), d=3, mode=mode)
+    y = lags @ np.eye(3)
+    r2 = np.einsum("...i,...i->...", y, y)
+    assert np.array_equal(v.radial_argument(lags), r2 if mode == "squared_norm"
+                          else np.sqrt(r2))
+    assert np.array_equal(np.signbit(v.radial_argument(lags)), np.zeros(len(lags), bool))
+
+
+def test_radial_argument_applies_a_non_identity_anisotropy():
+    c, s = math.cos(0.3), math.sin(0.3)
+    lags = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -2.0]])
+    for a in ([[2.0, 0.0], [0.0, 1.0]], [[c, -s], [s, c]]):
+        a = np.array(a)
+        v = vb.make_variogram(vb.catalog("log1p"), A=a, d=2)
+        y = lags @ a.T
+        assert np.array_equal(v.radial_argument(lags), np.einsum("...i,...i->...", y, y))
+    v = vb.make_variogram(vb.catalog("log1p"), A=[[2.0, 0.0], [0.0, 1.0]], d=2)
+    assert np.array_equal(v.radial_argument(lags), [4.0, 1.0, 8.0])
+
+
 def test_norm_profile_matches_call():
     v = vb.make_variogram(vb.catalog("log1p"), d=2)
     r = np.linspace(0.0, 4.0, 9)
