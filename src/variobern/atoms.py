@@ -141,8 +141,51 @@ def _exp_scaled_upper_gamma(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 # half-integer orders up to this one take the closed form, whose sum costs one
-# array pass per term; higher ones keep the Bessel path, so the loop is bounded
+# array pass per term; higher ones take Debye's expansion, so the loop is bounded
 _MATERN_TERMS_MAX = 1000
+
+# orders above this one take Debye's expansion (_matern_debye), within 7e-11
+# relative of 40-digit mpmath from nu = 50.3 on; up to it Gamma(nu) and
+# z^nu K_nu(z) stay finite for z >= 1e-4 and the Bessel formula is kept
+_MATERN_DEBYE_NU = 50.0
+
+# Debye's polynomials u_1..u_4 (DLMF 10.41.10) as q_k(p) = (u_k(p) - u_k(1))
+# / (p - 1): numerator coefficients in ascending powers of p, denominator.
+# u_k(0) = 0, so q_k(0) = u_k(1)
+_DEBYE_Q = (
+    ((-2, -5, -5), 24),
+    ((4, 4, -77, -77, 385, 385), 1152),
+    ((1112, 1112, 1112, -29263, -29263, 340340, 340340, -425425, -425425),
+     414720),
+    ((-9136, -9136, -9136, -9136, -4474261, -4474261, 89647415, 89647415,
+      -260275015, -260275015, 185910725, 185910725), 39813120),
+)
+
+
+def _matern_debye(nu: float, z: np.ndarray) -> np.ndarray:
+    """1 - 2^(1-nu)/Gamma(nu) z^nu K_nu(z) for large nu, in log space.
+
+    Debye's uniform expansion of K_nu(nu w), w = z/nu, over Stirling's
+    series of Gamma(nu), which is the same expansion at w = 0, gives the log
+    of the Bessel term as nu (log((1 + s)/2) - (s - 1)) - log(1 + w^2)/4 +
+    log(D(p)/D(1)), with s = sqrt(1 + w^2), p = 1/s and D(p) = sum_k (-1)^k
+    u_k(p)/nu^k. Its terms share one sign and s - 1 = w^2/(1 + s) and
+    D(p) - D(1) = (p - 1) sum_k (-1)^k q_k(p)/nu^k are formed without
+    cancellation, so a value near z = 0 keeps its relative precision where
+    Gamma(nu) or K_nu(z) overflows.
+    """
+    w = z / nu
+    s = np.sqrt(1.0 + w * w)
+    a = w * w / (1.0 + s)  # s - 1
+    p = 1.0 / s
+    d1, dq = 1.0, np.zeros_like(z)
+    for k, (coef, den) in enumerate(_DEBYE_Q, 1):
+        c = (-1.0) ** k / (den * nu**k)
+        d1 += c * coef[0]
+        dq += c * np.polynomial.polynomial.polyval(p, coef)
+    log_t = (nu * (np.log1p(0.5 * a) - a) - 0.25 * np.log1p(w * w)
+             + np.log1p(-(a / s) * dq / d1))
+    return -np.expm1(log_t)
 
 
 def _matern_body(x: np.ndarray, p: dict) -> np.ndarray:
@@ -184,6 +227,8 @@ def _matern_body(x: np.ndarray, p: dict) -> np.ndarray:
                 term = term * zl * (2.0 * (m - k) / ((k + 1) * (2 * m - k)))
                 f -= term
             out[~small] = f
+        elif nu > _MATERN_DEBYE_NU:
+            out[~small] = _matern_debye(nu, zl)
         else:
             from scipy import special as sc
 

@@ -4,8 +4,9 @@ Every check reduces to finite linear algebra or finite differencing:
 
 * the kernel matrix [k(x_i - x_j)] of a radial model, even by construction,
   is evaluated once per site pair, by row blocks of the upper triangle and
-  without the (n, n, d) lag tensor; dense kriging and simulation assemble
-  theirs with the same function;
+  without the (n, n, d) lag tensor; a block's lags are built per coordinate
+  as one rectangle and one triangle, with no Python loop over its rows;
+  dense kriging and simulation assemble theirs with the same function;
 * conditional negative definiteness is tested on the restriction of the
   kernel matrix to the zero-sum contrast subspace: the Householder
   reflector that swaps e_n and ones/sqrt(n) is applied as a rank-two
@@ -142,8 +143,12 @@ def _frame(check: str, tol: float, **echo) -> dict:
 
 
 def _scale(*values) -> float:
-    """Scale of a relative bound: the largest magnitude, and at least 1."""
-    return max(1.0, *(float(np.abs(v).max()) for v in values))
+    """Scale of a relative bound: the largest magnitude, and at least 1.
+
+    The values are finite arrays, whose largest magnitude is
+    max(v.max(), -v.min()) without an |v| temporary (8 MB at n = 1024).
+    """
+    return max(1.0, *(float(max(v.max(), -v.min())) for v in values))
 
 
 def _record(name: str, ok, statistic, tol: float, witness, detail: str = "",
@@ -191,35 +196,46 @@ _PAIR_BLOCK = 1 << 16
 def _radial_matrix(model, pts: PointSet) -> np.ndarray:
     """[model(x_i - x_j)] for an even model, evaluated once per site pair.
 
-    Consecutive rows of the upper triangle form blocks of at most
-    _PAIR_BLOCK lags x_i - x_{i+1:} (or one longer row), one model call
-    each; every row is written to K[i, i+1:] and mirrored to K[i+1:, i],
-    and the diagonal is the value at the zero lag. Each lag goes through the
-    same arithmetic as in the full lag tensor, so the matrix is bitwise the
-    one model(pts.lags()) gives. That does not hold across pair blocks for
-    a quadrature spectral carrier, whose value at a lag depends on the
-    other lags sharing its quadrature column; the matrix stays bitwise
-    symmetric, since each row is mirrored.
+    Consecutive rows [s, e) of the upper triangle form blocks of at most
+    _PAIR_BLOCK lags x_i - x_j, j > i (or one longer row), one model call
+    each. A block's lags fill one (pairs, d) buffer coordinate by
+    coordinate, with no Python loop over rows: first the rectangle of
+    columns j >= e, one broadcast difference per coordinate, then the
+    block's own upper triangle, selected by a mask from the differences
+    among its rows. The rectangle is written to K[s:e, e:] and mirrored to
+    K[e:, s:e], the triangle to K[s:e, s:e] and its transpose, and the
+    diagonal is the value at the zero lag. Each lag is the same single
+    subtraction as in the full lag tensor, so the matrix is bitwise the one
+    model(pts.lags()) gives. That does not hold across pair blocks for a
+    quadrature spectral carrier, whose value at a lag depends on the other
+    lags sharing its quadrature column; the matrix stays bitwise symmetric,
+    since every value is mirrored.
     """
-    x, n = pts.coords, pts.n
+    n, d = pts.n, pts.d
+    xt = np.ascontiguousarray(pts.coords.T)
     k = np.empty((n, n))
-    k.flat[::n + 1] = np.asarray(model(np.zeros((1, pts.d))), dtype=float)[0]
+    k.flat[::n + 1] = np.asarray(model(np.zeros((1, d))), dtype=float)[0]
     start = 0
     while start < n - 1:
         stop, pairs = start + 1, n - 1 - start
         while stop < n - 1 and pairs + n - 1 - stop <= _PAIR_BLOCK:
             pairs += n - 1 - stop
             stop += 1
-        vals = np.asarray(model(np.concatenate(
-            [x[i] - x[i + 1:] for i in range(start, stop)])), dtype=float)
-        at = 0
-        for i in range(start, stop):
-            row = vals[at:at + n - 1 - i]
-            k[i, i + 1:] = row
-            k[i + 1:stop, i] = row[:stop - 1 - i]
-            at += row.size
-        # the rest of the block's columns, below its rows, in one copy
+        rows, cols = stop - start, n - stop
+        rect = rows * cols
+        upper = np.arange(rows)[:, None] < np.arange(rows)
+        lag = np.empty((pairs, d))
+        rectangle = lag[:rect].reshape(rows, cols, d)
+        for c in range(d):
+            np.subtract(xt[c, start:stop, None], xt[c, None, stop:],
+                        out=rectangle[:, :, c])
+            lag[rect:, c] = np.subtract(xt[c, start:stop, None],
+                                        xt[c, None, start:stop])[upper]
+        vals = np.asarray(model(lag), dtype=float)
+        k[start:stop, stop:] = vals[:rect].reshape(rows, cols)
         k[stop:, start:stop] = k[start:stop, stop:].T
+        own = k[start:stop, start:stop]
+        own[upper] = own.T[upper] = vals[rect:]
         start = stop
     return k
 
@@ -289,11 +305,13 @@ def _extreme_eigenpair(m: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """The k-th smallest eigenvalue of the symmetric m and its eigenvector.
 
     Kernel matrices are finite by construction, so the finiteness scan is
-    skipped; the MRRR driver computes the one pair without the others.
+    skipped; the MRRR driver computes the one pair without the others. m is
+    exactly symmetric, so m.T is the same matrix in the Fortran order LAPACK
+    reads, which scipy copies without a transpose.
     """
     import scipy.linalg
 
-    w, v = scipy.linalg.eigh(m, subset_by_index=[k, k], driver="evr",
+    w, v = scipy.linalg.eigh(m.T, subset_by_index=[k, k], driver="evr",
                              check_finite=False)
     return float(w[0]), v[:, 0]
 

@@ -133,6 +133,30 @@ def test_matern_of_other_orders_keeps_the_bessel_formula():
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+# 40-digit mpmath values of 1 - 2^(1-nu)/Gamma(nu) z^nu K_nu(z), z = sqrt(x)
+MATERN_OTHER_X = (0.01, 1.0, 100.0, 1e4)
+MATERN_OTHER_REF = {
+    150.3: (1.674466797031592537213974466786073006028e-05,
+            1.673070312471422006363241110044151628917e-03,
+            0.1540996363763923593219517201116503059796,
+            0.9999998778727284634625477706830950580183),
+    1.2: (8.529967690010705641899635440379471755057e-03,
+          0.3352795915481242110090797354648974875641,
+          0.9997138270955326206602901958973051157063,
+          1.0),
+}
+
+
+@pytest.mark.parametrize("nu", sorted(MATERN_OTHER_REF))
+def test_matern_of_orders_that_are_not_half_integers(nu):
+    """At nu = 150.3, K_nu(z) overflows for z <= 1, where the Bessel formula
+    read exactly 1 (x = 0.01 and x = 1). Debye's expansion in log space
+    takes such orders; nu = 1.2 keeps the Bessel formula."""
+    f = vb.catalog("matern", {"alpha": 1.0, "nu": nu})
+    got = vb.evaluate(f, np.array(MATERN_OTHER_X))
+    assert np.allclose(got, MATERN_OTHER_REF[nu], rtol=1e-10, atol=0.0)
+
+
 # ----------------------------------------------------------------------
 # the atom fast path: an input with no 0 and no inf skips the endpoint branch
 

@@ -751,6 +751,25 @@ def test_radial_kernel_matrix_blocks_split_anywhere(monkeypatch, block):
     assert np.array_equal(vb.kernel_matrix(model, pts), model(pts.lags()))
 
 
+@pytest.mark.parametrize("block", [7, 100])
+@pytest.mark.parametrize("n", [2, 3, 50, 301])
+@pytest.mark.parametrize("name", ["log1p_d1", "ma_d2", "ma_aniso_d2", "spherical_d3"])
+def test_radial_assembly_by_rectangle_and_triangle(monkeypatch, block, n, name):
+    """Blocks of single rows, of several rows and of a whole triangle;
+    duplicate sites put zero lags off the diagonal, which take the
+    endpoint branch of the profile, in the rectangle and in the triangle."""
+    from variobern import checks
+    monkeypatch.setattr(checks, "_PAIR_BLOCK", block)
+    model = RADIAL_MODELS[name]()
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, model.d))
+    x[n // 2] = x[0]
+    x[-1] = x[-2]
+    pts = vb.PointSet(x)
+    k = checks._radial_matrix(model, pts)
+    assert np.array_equal(k, model(pts.lags()))
+    assert np.array_equal(k, k.T)
+
+
 def test_radial_kernel_matrix_over_several_full_blocks():
     """n = 400 has 79,800 pairs: two blocks of the module constant, the
     first one ending inside a row."""

@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import variobern as vb
-from variobern.cli import _CHECKS, main
+from variobern.cli import _CHECKS, _json_text, main
 
 
 def model_arg(m) -> str:
@@ -713,3 +715,71 @@ def test_booleans_are_not_numbers(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "boolean" in err
+
+
+# ----------------------------------------------------------------------
+# the JSON writer: json.dumps(indent=2, sort_keys=True), byte for byte
+
+def _reference_json(o) -> str:
+    return json.dumps(o, indent=2, sort_keys=True) + "\n"
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | \
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308])
+_NUMBERS = (st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+            | _FLOATS | _FLOATS.map(np.float64))
+_LEAVES = st.none() | _NUMBERS | st.text()
+_TREES = st.recursive(
+    _LEAVES | st.lists(_NUMBERS) | st.lists(_NUMBERS).map(tuple),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_json_text_is_json_dumps_with_indent(tree):
+    assert _json_text(tree) == _reference_json(tree)
+    assert _json_text({"payload": tree}) == _reference_json({"payload": tree})
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], (), {"a": [], "b": {}, "c": ()}, [[]], [{}], [1, []], [1, {}],
+    [1, "a,b"], ["x", 1.5], [True, False, None, 1, 2.5], [[1, 2], [3.0]],
+    {"k": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]},
+    {"ü": "naïve ☃", "a\"b": ["\n", "\u2028"]}, [np.float64(0.1), 10**30],
+    {2: "int key", 1.5: "float key"}, {None: "null key"}, {True: 1},
+])
+def test_json_text_edge_cases(tree):
+    assert _json_text(tree) == _reference_json(tree)
+
+
+def test_json_text_rejects_what_json_rejects():
+    for bad in ({(1, 2): 0}, [np.int64(1)], {"a": object()}, {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            _reference_json(bad)
+        with pytest.raises(TypeError):
+            _json_text(bad)
+
+
+def test_command_outputs_are_indented_sorted_json(tmp_path):
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.0, 3.0, size=(12, 2))
+    sites = write_sites(tmp_path / "s.csv", coords, rng.standard_normal(12))
+    ma = model_arg(vb.ma_product(0.5, 1.5, d=2))
+    recipe = json.dumps({"constructor": "ma_product", "args": {"a1": 1.0, "a2": 2.0, "d": 2}})
+    cubic2 = model_arg(vb.make_variogram(
+        vb.fpow(vb.catalog("power", {"a": 1.0}), 1.5), d=2))
+    runs = {
+        "validate": ["validate", "--model", cubic2, "--points", sites,
+                     "--checks", "axioms,pd"],
+        "krige": ["krige", "--model", ma, "--points", sites, "--grid", "0:3:3,0:3:2"],
+        "krige_sparse": ["krige", "--model", model_arg(vb.wendland(2.0, 2, 2)),
+                         "--points", sites, "--grid", "0:3:2,0:3:2", "--mode", "sparse"],
+        "construct": ["construct", "--model", recipe],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) in (0, 1, 2)
+        text = out.read_text(encoding="utf-8")
+        assert text == _reference_json(json.loads(text)), name
