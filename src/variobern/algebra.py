@@ -5,9 +5,9 @@ of function-cone memberships ("CM", "BF", "CBF", "S") that its closure rules
 prove (``derived``): atoms carry catalog facts, inner nodes only what a row of
 ``_THEOREMS`` derives from the children's derived sets. That table is the one
 place the closure theorems are stated. Derived tags are sound but not
-complete - an empty set means "unverified", never "disproved". Tags declared
-through with_tags or loaded from JSON join ``tags`` for display, but no proof
-reads them.
+complete - an empty set means "unverified", never "disproved". It is the
+only tag set: nothing declares tags, and expression JSON holding a "tags" key
+is refused.
 
 A spectral node on a continued catalog atom carrying its catalog triple
 evaluates through the continuation, its triple not gated numerically: the
@@ -63,7 +63,6 @@ __all__ = [
     "fsum",
     "fprod",
     "fpow",
-    "with_tags",
     "with_levy",
     "infer_class",
     "levy_eval",
@@ -119,18 +118,15 @@ class FunctionExpr:
     params: tuple[tuple[str, float], ...] = ()
     children: tuple["FunctionExpr", ...] = ()
     alpha: float | None = None
-    tags: frozenset = field(default_factory=frozenset)  # declared; derived joins
     levy: LevyTriple | None = None
     derived: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # derived from the node's own fields on every construction, replace()
-        # included, so no caller can set it; tags absorb it
+        # included, so no caller can set it
         if self.kind == "spectral":
             _check_spectral_carrier(self.children[0])
-        derived = _complete(_derive(self))
-        object.__setattr__(self, "derived", derived)
-        object.__setattr__(self, "tags", _complete(set(self.tags) | derived))
+        object.__setattr__(self, "derived", _complete(_derive(self)))
 
     @property
     def params_dict(self) -> dict:
@@ -247,34 +243,18 @@ def _node(kind, name="", params=(), children=(), alpha=None,
                         levy=levy)
 
 
-def with_tags(e: FunctionExpr, tags: Iterable[str]) -> FunctionExpr:
-    """Declare extra cone tags on an expression.
-
-    Declared tags join ``tags`` (and so infer_class and the JSON form) but
-    not ``derived``: model certificates read derived tags only, so a
-    declaration documents a claim without proving it.
-    """
-    extra = set(tags)
-    bad = extra - set(CONES)
-    if bad:
-        raise ParameterError(f"unknown cone tags {sorted(bad)}; expected {CONES}")
-    return replace(e, tags=e.tags | extra)
-
-
 def with_levy(e: FunctionExpr, triple: LevyTriple) -> FunctionExpr:
     return replace(e, levy=triple)
 
 
 def infer_class(e: FunctionExpr) -> frozenset:
-    """The cone tags recorded for e: derived plus declared.
+    """The cone tags proved for e, ``e.derived``.
 
     Every node derives its tags once, when it is built: atoms from catalog
     facts, inner nodes by the closure rules from their children's derived
-    tags. Tags declared through with_tags or persisted in JSON are added on
-    top. The set is complete (CBF implies BF, S implies CM). Certificates
-    use ``e.derived`` alone.
+    tags. The set is complete (CBF implies BF, S implies CM).
     """
-    return e.tags
+    return e.derived
 
 
 # ----------------------------------------------------------------------
@@ -754,32 +734,6 @@ def _gated(value: np.ndarray, bound: np.ndarray, gate: float, what) -> np.ndarra
 # mu has tail m(t) = mu[t, inf), the carrier's Levy density; by parts this is
 # drift*h^2 + h integral sin(s h) m(s) ds, and -Re(i h f(i h)) for continued f
 
-def spectral_measure(f: FunctionExpr):
-    """(drift, Levy density m) of a spectral carrier f, m None if absent.
-
-    f must carry a Levy triple whose measure is a density m, not atoms.
-    """
-    triple = f.levy
-    if triple is None:
-        raise ConstructionError(
-            "spectral construction needs an expression carrying a Levy triple"
-        )
-    if triple.atoms:
-        raise ConstructionError(
-            "spectral construction requires a density representation of the "
-            "Levy measure, not atoms"
-        )
-    return triple.drift, triple.density
-
-
-def check_mu_integrability(m: FunctionExpr) -> None:
-    """Raise QuadratureError unless the Levy density m integrates
-    min(2t, 1), the condition for a finite spectral variogram."""
-    if not _levy_moment_finite(m):
-        raise QuadratureError("Levy density fails the spectral check "
-                              "integral min(2t, 1) m(t) dt < inf")
-
-
 @functools.lru_cache(maxsize=64)
 def _own_catalog_triple(f: FunctionExpr) -> bool:
     """Whether f is a continued catalog atom carrying its catalog triple."""
@@ -789,8 +743,9 @@ def _own_catalog_triple(f: FunctionExpr) -> bool:
 def _spectral(f: FunctionExpr, w: np.ndarray) -> np.ndarray:
     """The spectral node on carrier f at lags w >= 0. At inf the cosine term
     vanishes (Riemann-Lebesgue), leaving mu's mass m(0+); the quadrature
-    takes each distinct lag once, ascending, so a column holds one scale."""
-    drift, m = spectral_measure(f)
+    takes each distinct lag once, ascending, so a column holds one scale.
+    The carrier was gated when the node was built."""
+    drift, m = f.levy.drift, f.levy.density
     out = np.zeros_like(w)
     inf = np.isinf(w)
     if inf.any():
@@ -834,11 +789,20 @@ def spectral_node(f: FunctionExpr) -> FunctionExpr:
 
 
 def _check_spectral_carrier(f: FunctionExpr) -> None:
-    m = spectral_measure(f)[1]
+    if f.levy is None:
+        raise ConstructionError(
+            "spectral construction needs an expression carrying a Levy triple"
+        )
+    if f.levy.atoms:
+        raise ConstructionError(
+            "spectral construction requires a density representation of the "
+            "Levy measure, not atoms"
+        )
     if f.levy.constant != 0.0:
         raise ConstructionError(
             "spectral construction requires a vanishing constant term"
         )
+    m = f.levy.density
     if m is not None and not _own_catalog_triple(f):
         grid = np.logspace(-3, 3, 61)
         m_vals = evaluate(m, grid)
@@ -848,7 +812,9 @@ def _check_spectral_carrier(f: FunctionExpr) -> None:
             raise ParameterError(
                 f"Levy density must be decreasing: m({grid[i]:g}) < m({grid[i + 1]:g})"
             )
-        check_mu_integrability(m)
+        if not _levy_moment_finite(m):
+            raise QuadratureError("Levy density fails the spectral check "
+                                  "integral min(2t, 1) m(t) dt < inf")
 
 
 # ----------------------------------------------------------------------
@@ -868,8 +834,6 @@ def expr_to_json(e: FunctionExpr) -> dict:
         d["args"] = [expr_to_json(c) for c in e.children]
     if _foreign_levy(e):
         d["levy"] = _levy_to_json(e.levy)
-    if e.tags != e.derived:
-        d["tags"] = sorted(e.tags)
     return d
 
 
@@ -929,9 +893,11 @@ _OPS = {
 
 
 def expr_from_json(d: dict) -> FunctionExpr:
-    """Rebuild an expression; persisted "tags" are declared, not derived."""
+    """Rebuild an expression; a "tags" key at any node is refused."""
     if not isinstance(d, dict):
         raise ParameterError(f"expression JSON must be an object, got {type(d).__name__}")
+    if "tags" in d:
+        raise ParameterError("expression 'tags' is refused: cone tags are derived from the tree")
     if "atom" in d:
         if not isinstance(d["atom"], str):
             raise ParameterError(f"expression 'atom' must be a name, got {d['atom']!r}")
@@ -950,11 +916,6 @@ def expr_from_json(d: dict) -> FunctionExpr:
         raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
     if "levy" in d:
         e = with_levy(e, _levy_from_json(d["levy"]))
-    if "tags" in d:
-        tags = d["tags"]
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise ParameterError(f"expression 'tags' must be a list of cone names, got {tags!r}")
-        e = with_tags(e, tags)
     return e
 
 

@@ -46,9 +46,7 @@ class ParamSpec:
         return f"{left}{kind}{self.name}{right}"
 
     def check(self, atom: str, value: float) -> None:
-        ok = True
-        if self.integer and value != int(value):
-            ok = False
+        ok = not self.integer or float(value).is_integer()  # False for NaN, inf
         if self.low_open:
             ok = ok and value > self.low
         else:

@@ -10,9 +10,9 @@ so the mode is an explicit field and part of the JSON format.
 A model's ``certificate`` is derived, never stored: one rule set maps the
 model type, mode, dimension and profile to the theorem that makes the model
 valid, or to None ("unverified"). It reads only the tags the closure rules
-derive and the dimension bounds that atoms declare, never tags declared
-through with_tags or a flag read from JSON, so a certificate cannot be
-forged or carried across a transformation no theorem covers. ``certified``
+derive and the dimension bounds that atoms declare, never a flag read from
+JSON (expression JSON with a "tags" key is refused), so a certificate cannot
+be forged or carried across a transformation no theorem covers. ``certified``
 means the certificate is not None. Unverified models still evaluate; the
 oracles decide their fate empirically.
 """
@@ -169,7 +169,7 @@ class StationaryCovariance(_RadialModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.support_radius <= 0:
+        if not self.support_radius > 0:
             raise ParameterError("support_radius must be positive (inf allowed)")
         r = self.support_radius
         if math.isfinite(r) and np.any(self.norm_profile(r * _BEYOND_SUPPORT) != 0.0):
@@ -367,7 +367,7 @@ def variogram_from_covariance(c: StationaryCovariance) -> Variogram:
 def covariance_from_variogram(v: Variogram, sill: float,
                               support_radius: float = math.inf) -> StationaryCovariance:
     """C(xi) = sill - gamma(xi) for bounded (eventually constant) variograms."""
-    if sill < 0:
+    if not sill >= 0:
         raise ParameterError("sill must be nonnegative")
     return _complement(v, StationaryCovariance, sill,
                        f"covariance_from_variogram({v.construction})",

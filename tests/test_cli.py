@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, JSON payloads, CSV formats, reproducibility."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -689,6 +690,25 @@ def test_malformed_integers_and_expression_json_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("l", ["NaN", "Infinity", "1e400"])
+def test_non_finite_integer_atom_parameter_exits_2(capsys, l):
+    """A non-finite integer parameter is a usage error, not a traceback."""
+    model = _with(vb.wendland(2.0, 2, 2), profile={
+        "atom": "wendland_profile", "params": {"r": 2.0, "l": "L"}})
+    code, out, err = run(capsys, "validate", "--model", model.replace('"L"', l))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_nan_support_radius_exits_2(capsys):
+    code, out, err = run(capsys, "validate", "--model",
+                         _with(vb.wendland(2.0, 2, 2), support_radius=math.nan))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "support_radius" in err
 
 
 def test_integral_floats_still_read_as_integers(capsys):

@@ -300,12 +300,6 @@ def test_spectral_endpoint_limits_hold_on_both_paths(node):
             vb.evaluate(node(unbounded), np.inf)
 
 
-def test_spectral_measure_is_the_carriers_levy_density():
-    f = vb.catalog("frac_linear", {"lam": 2.0})
-    assert alg.spectral_measure(f) == (0.0, f.levy.density)
-    assert alg.spectral_measure(vb.catalog("power", {"a": 1.0})) == (1.0, None)
-
-
 def test_one_integral_of_m_gates_levy_eval_and_the_spectral_node():
     density = vb.catalog("frac_linear", {"lam": 1.2345}).levy.density
     triple = vb.LevyTriple(density=density)
