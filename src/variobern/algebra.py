@@ -877,23 +877,25 @@ def _field(d: dict, key: str, default=None) -> float:
     return _number(d.get(key, default), f"op '{d['op']}' field '{key}'")
 
 
-# op -> (number of arguments, None if any; builder from (args, op JSON))
+# op -> (number of arguments, None if any; own keys; builder from (args, op JSON))
 _OPS = {
-    "sum": (None, lambda a, d: fsum(*a)),
-    "product": (None, lambda a, d: fprod(*a)),
-    "compose": (2, lambda a, d: compose(*a)),
-    "power": (1, lambda a, d: fpow(a[0], _field(d, "alpha"))),
-    "combine": (2, lambda a, d: combine(*a, d.get("rule", ""), _field(d, "alpha", math.nan))),
-    "dualize": (1, lambda a, d: dualize(a[0], d.get("rule", ""))),
-    "uchiyama": (3, lambda a, d: uchiyama(*a)),
-    "spectral": (1, lambda a, d: spectral_node(a[0])),
-    "affine": (1, lambda a, d: affine(a[0], shift=_field(d, "shift", 0.0),
-                                      scale=_field(d, "scale", 1.0))),
+    "sum": (None, (), lambda a, d: fsum(*a)),
+    "product": (None, (), lambda a, d: fprod(*a)),
+    "compose": (2, (), lambda a, d: compose(*a)),
+    "power": (1, ("alpha",), lambda a, d: fpow(a[0], _field(d, "alpha"))),
+    "combine": (2, ("rule", "alpha"),
+                lambda a, d: combine(*a, d.get("rule", ""), _field(d, "alpha", math.nan))),
+    "dualize": (1, ("rule",), lambda a, d: dualize(a[0], d.get("rule", ""))),
+    "uchiyama": (3, (), lambda a, d: uchiyama(*a)),
+    "spectral": (1, (), lambda a, d: spectral_node(a[0])),
+    "affine": (1, ("shift", "scale"), lambda a, d: affine(
+        a[0], shift=_field(d, "shift", 0.0), scale=_field(d, "scale", 1.0))),
 }
 
 
 def expr_from_json(d: dict) -> FunctionExpr:
-    """Rebuild an expression; a "tags" key at any node is refused."""
+    """Rebuild an expression; a "tags" key, or any key the node's kind does
+    not take, at any node is refused."""
     if not isinstance(d, dict):
         raise ParameterError(f"expression JSON must be an object, got {type(d).__name__}")
     if "tags" in d:
@@ -901,13 +903,15 @@ def expr_from_json(d: dict) -> FunctionExpr:
     if "atom" in d:
         if not isinstance(d["atom"], str):
             raise ParameterError(f"expression 'atom' must be a name, got {d['atom']!r}")
+        _known_keys(d, ("atom", "params", "levy"), f"atom '{d['atom']}'")
         e = catalog(d["atom"], _json_field(d, "params", dict, {}, "an object"))
     elif "op" in d:
         op = d["op"]
         if not isinstance(op, str) or op not in _OPS:
             raise ParameterError(
                 f"unknown expression op '{op}'; expected one of {', '.join(_OPS)}")
-        arity, build = _OPS[op]
+        arity, own, build = _OPS[op]
+        _known_keys(d, ("op", "args", "levy", *own), f"op '{op}'")
         args = [expr_from_json(a) for a in _json_field(d, "args", list, [], "a list")]
         if arity is not None and len(args) != arity:
             raise ParameterError(f"{op} takes exactly {arity} argument(s), got {len(args)}")
@@ -917,6 +921,14 @@ def expr_from_json(d: dict) -> FunctionExpr:
     if "levy" in d:
         e = with_levy(e, _levy_from_json(d["levy"]))
     return e
+
+
+def _known_keys(d: dict, keys: tuple, node: str) -> None:
+    """Refuse a key of expression node d outside keys."""
+    unknown = [repr(k) for k in d if k not in keys]
+    if unknown:
+        raise ParameterError(f"expression {node} has unknown key(s) {', '.join(unknown)}; "
+                             f"it takes {', '.join(keys)}")
 
 
 def _json_field(d: dict, key: str, kind: type, default, what: str):

@@ -83,14 +83,8 @@ class CheckRecord:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "statistic": self.statistic,
-            "tolerance": self.tolerance,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
+        # the fields in order; asdict would deep-copy every witness list
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Subcommands: catalog, validate, construct, grid, krige, simulate. Every
 output embeds the effective configuration so a run can be reproduced from
-its own artifact. Exit status: 0 success (validate: all checks pass),
-1 a check failed, 2 inconclusive or error.
+its own artifact. A command returns (exit code, config, body), and ``main``
+adds "command" and "out" to the config and writes the frame (``_emit``).
+Exit status: 0 success (validate: all checks pass), 1 a check failed,
+2 inconclusive or error.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ def _load_json_arg(text: str, what: str) -> dict:
         raise VarioBernError(f"malformed {what} JSON: {exc}")
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(config: dict, body, out_path) -> None:
+    """The output frame: JSON for a dict body, else text lines under the config."""
+    if isinstance(body, dict):
+        text = _json_text({"config": config, **body})
+    else:
+        text = "\n".join([f"# config: {json.dumps(config, sort_keys=True)}", *body, ""])
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -179,25 +186,16 @@ def catalog_text() -> str:
     return "\n".join(lines)
 
 
-def cmd_catalog(args) -> int:
-    config = {"command": "catalog", "out": args.out}
-    text = f"# config: {json.dumps(config, sort_keys=True)}\n" + catalog_text()
-    _emit(text, args.out)
-    return EXIT_PASS
+def cmd_catalog(args) -> tuple[int, dict, list[str]]:
+    return EXIT_PASS, {}, catalog_text().splitlines()
 
 
 # ----------------------------------------------------------------------
 # validate
 
 def _eventual_constancy(model, sites, tol: float, claimed: bool):
-    if not isinstance(model, models.StationaryCovariance) or \
-            not math.isfinite(model.support_radius):
-        raise VarioBernError(
-            "eventual_constancy needs a covariance model with a finite "
-            "support radius"
-        )
+    r = models._finite_support(model, "eventual_constancy")
     gamma = models.variogram_from_covariance(model)
-    r = model.support_radius
     # only squared_norm certificates are dimension-free; a spherical or
     # Wendland certificate is specific to its d and plateaus legitimately.
     # A certificate the input only claims is put to the same test.
@@ -241,7 +239,7 @@ def _run_check(name: str, model, pts, tol: float, claimed: bool):
     return _CHECKS[name](model, sites, tol, claimed)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict, dict]:
     doc = _load_json_arg(args.model, "model")
     model = models.model_from_json(doc)
     claimed = doc.get("certified") is True
@@ -252,19 +250,15 @@ def cmd_validate(args) -> int:
         selected = ["pd"]
     else:
         selected = ["axioms"]
-    config = {
-        "command": "validate", "model": models.model_to_json(model),
-        "points": args.points, "checks": selected, "tol": args.tol,
-        "out": args.out,
-    }
+    config = {"model": models.model_to_json(model), "points": args.points,
+              "checks": selected, "tol": args.tol}
     reports = [_run_check(name, model, pts, args.tol, claimed) for name in selected]
     verdict = checks.PermissibilityReport(
         tuple(rec for rep in reports for rec in rep.checks)).verdict
-    payload = {"config": config, "verdict": verdict,
-               "reports": [{"check": name, **rep.to_json()}
-                           for name, rep in zip(selected, reports)]}
-    _emit(_json_text(payload), args.out)
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_ERROR}[verdict]
+    code = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_ERROR}[verdict]
+    return code, config, {"verdict": verdict,
+                          "reports": [{"check": name, **rep.to_json()}
+                                      for name, rep in zip(selected, reports)]}
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +266,11 @@ def cmd_validate(args) -> int:
 
 def _arg(d: dict, key: str, default, kind=float):
     return _number(d.get(key, default), f"recipe arg '{key}'", kind)
+
+
+def _placement(d: dict) -> dict:
+    """The dimension and anisotropy keywords every radial recipe takes."""
+    return {"d": _arg(d, "d", 1, int), "A": d.get("A")}
 
 
 def _expr_arg(d, key: str) -> alg.FunctionExpr:
@@ -301,28 +300,22 @@ def _shift_kernel_recipe(ctor: str, args: dict) -> dict:
 # radial model, except the shift kernels, which return a payload dict
 _RECIPES = {
     "ma_product": lambda a: models.ma_product(
-        _arg(a, "a1", 1.0), _arg(a, "a2", 1.0),
-        d=_arg(a, "d", 1, int), A=a.get("A")),
+        _arg(a, "a1", 1.0), _arg(a, "a2", 1.0), **_placement(a)),
     "schur_product_extended": lambda a: models.schur_product_extended(
         _expr_arg(a, "g1"), _expr_arg(a, "g2"),
-        _arg(a, "alpha", 0.5), _arg(a, "beta", 0.5),
-        d=_arg(a, "d", 1, int), A=a.get("A")),
+        _arg(a, "alpha", 0.5), _arg(a, "beta", 0.5), **_placement(a)),
     "cbf_variograms": lambda a: models.cbf_variograms(
-        _expr_arg(a, "g"), str(a.get("which", "ratio")),
-        d=_arg(a, "d", 1, int), A=a.get("A")),
+        _expr_arg(a, "g"), str(a.get("which", "ratio")), **_placement(a)),
     "composition_products": lambda a: models.composition_products(
         _expr_arg(a, "g1"), _expr_arg(a, "g2"),
         alg.expr_from_json(a["g3"]) if "g3" in a else None,
-        which=str(a.get("which", "two_factor")),
-        d=_arg(a, "d", 1, int), A=a.get("A")),
+        which=str(a.get("which", "two_factor")), **_placement(a)),
     "difference_kernel": lambda a: _shift_kernel_recipe("difference_kernel", a),
     "sum_kernel": lambda a: _shift_kernel_recipe("sum_kernel", a),
     "spectral_variogram": lambda a: kernels.spectral_variogram(_expr_arg(a, "f")),
     "wendland": lambda a: models.wendland(
-        _arg(a, "r", 1.0), _arg(a, "l", 1, int), _arg(a, "d", 1, int),
-        A=a.get("A")),
-    "spherical": lambda a: models.spherical(
-        _arg(a, "range", 1.0), _arg(a, "d", 1, int), A=a.get("A")),
+        _arg(a, "r", 1.0), _arg(a, "l", 1, int), **_placement(a)),
+    "spherical": lambda a: models.spherical(_arg(a, "range", 1.0), **_placement(a)),
 }
 
 
@@ -339,40 +332,34 @@ def _build_recipe(recipe: dict):
     return build(args)
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[int, dict, dict]:
     recipe = _load_json_arg(args.model, "recipe")
-    config = {"command": "construct", "recipe": recipe, "out": args.out}
     built = _build_recipe(recipe)
     kind, body = (("kernel", built) if isinstance(built, dict)
                   else ("model", models.model_to_json(built)))
-    payload = {"config": config, kind: body, "certified": body["certified"]}
-    _emit(_json_text(payload), args.out)
-    return EXIT_PASS
+    return EXIT_PASS, {"recipe": recipe}, {kind: body, "certified": body["certified"]}
 
 
 # ----------------------------------------------------------------------
 # grid
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> tuple[int, dict, list[str]]:
     model = _load_model(args.model)
     if not args.grid:
         raise VarioBernError("grid command needs --grid lo:hi:n[,lo:hi:n...]")
     coords = _parse_grid_spec(args.grid, model.d)
     values = np.asarray(model(coords), dtype=float)
-    config = {"command": "grid", "model": models.model_to_json(model),
-              "grid": args.grid, "out": args.out}
-    header = ",".join(_expected_header(model.d, True))
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}", header]
+    config = {"model": models.model_to_json(model), "grid": args.grid}
+    lines = [",".join(_expected_header(model.d, True))]
     for row, v in zip(coords, values):
         lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(v))
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_PASS
+    return EXIT_PASS, config, lines
 
 
 # ----------------------------------------------------------------------
 # krige / simulate
 
-def cmd_krige(args) -> int:
+def cmd_krige(args) -> tuple[int, dict, dict]:
     model = _load_model(args.model)
     if not args.points:
         raise VarioBernError("krige command needs --points with a value column")
@@ -381,18 +368,15 @@ def cmd_krige(args) -> int:
             "krige command needs --grid lo:hi:n[,...] for the target sites")
     pts = read_points_csv(args.points)
     targets = _parse_grid_spec(args.grid, model.d)
-    config = {"command": "krige", "model": models.model_to_json(model),
-              "points": args.points, "grid": args.grid, "mode": args.mode,
-              "out": args.out}
+    config = {"model": models.model_to_json(model), "points": args.points,
+              "grid": args.grid, "mode": args.mode}
     results = kriging.krige_many(model, pts, targets, mode=args.mode)
     preds = [{"target": t.tolist(), **res.to_json(), "variance": res.variance,
               "residual": res.residual} for t, res in zip(targets, results)]
-    payload = {"config": config, "predictions": preds}
-    _emit(_json_text(payload), args.out)
-    return EXIT_PASS
+    return EXIT_PASS, config, {"predictions": preds}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict, list[str]]:
     model = _load_model(args.model)
     if not args.points:
         raise VarioBernError("simulate command needs --points for the sites")
@@ -405,21 +389,17 @@ def cmd_simulate(args) -> int:
         raise VarioBernError(f"simulate --grid needs a bin count >= 1, got {bins}")
     reps, info = kriging.simulate_field(spec, tol=args.tol)
     rows = kriging.empirical_variogram(reps, sites, bins)
-    config = {"command": "simulate", "model": models.model_to_json(model),
+    config = {"model": models.model_to_json(model),
               "points": args.points, "seed": args.seed,
               "replicates": args.replicates, "bins": bins, "tol": args.tol,
               "diag_shift": info["diag_shift"],
               "min_eigenvalue": info["min_eigenvalue"],
               # JSON has no infinity: a singular shifted Gram matrix is null
-              "cond": info["cond"] if math.isfinite(info["cond"]) else None,
-              "out": args.out}
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}",
-             "lag_lo,lag_hi,count,gamma_hat"]
+              "cond": info["cond"] if math.isfinite(info["cond"]) else None}
+    lines = ["lag_lo,lag_hi,count,gamma_hat"]
     for lo, hi, count, gh in rows:
-        gtxt = "nan" if math.isnan(gh) else _fmt(gh)
-        lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(count)},{gtxt}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_PASS
+        lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(count)},{_fmt(gh)}")  # empty bin: nan
+    return EXIT_PASS, config, lines
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +470,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_grid(
         sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        code, config, body = args.func(args)
+        _emit({**config, "command": args.command, "out": args.out}, body, args.out)
+        return code
     except (VarioBernError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -42,7 +42,7 @@ import numpy as np
 from .atoms import _number
 from .checks import kernel_matrix
 from .errors import DegenerateSystemError, ParameterError
-from .models import StationaryCovariance, Variogram
+from .models import StationaryCovariance, Variogram, _finite_support
 from .points import PointSet
 
 __all__ = [
@@ -99,17 +99,6 @@ class SimulationSpec:
         object.__setattr__(self, "n_replicates", n_replicates)
 
 
-def _require_sparse_support(model) -> float:
-    if not isinstance(model, StationaryCovariance) or not math.isfinite(
-            getattr(model, "support_radius", math.inf)):
-        raise ParameterError(
-            "sparse mode requires a stationary covariance with a finite "
-            "support radius; rebuild eventually constant variograms as "
-            "sill - gamma first"
-        )
-    return float(model.support_radius)
-
-
 def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
     """Matrix K[i,j] = model(x_i - x_j), dense ndarray or sparse CSC.
 
@@ -127,7 +116,7 @@ def build_gamma_matrix(model, pts: PointSet, mode: str = "dense"):
     from scipy.sparse import coo_matrix
     from scipy.spatial import cKDTree
 
-    radius = _require_sparse_support(model)
+    radius = _finite_support(model, "sparse mode")
     y = pts.coords @ model.anisotropy.T
     pairs = cKDTree(y).query_pairs(radius, output_type="ndarray")
     rows = [np.arange(pts.n)]

@@ -183,6 +183,15 @@ class StationaryCovariance(_RadialModel):
         return float(self.norm_profile(0.0))
 
 
+def _finite_support(model, what: str) -> float:
+    """The finite support radius of model, or a ParameterError naming what needs one."""
+    if not (isinstance(model, StationaryCovariance)
+            and math.isfinite(model.support_radius)):
+        raise ParameterError(f"{what} requires a stationary covariance with a finite support "
+                             "radius; rebuild eventually constant variograms as sill - gamma first")
+    return float(model.support_radius)
+
+
 # ----------------------------------------------------------------------
 # constructors
 
@@ -253,7 +262,7 @@ def cbf_variograms(g: FunctionExpr, which: str, d: int = 1, A=None) -> Variogram
     """
     if which not in ("ratio", "inv_arg", "inv_arg_ratio"):
         raise ParameterError("which must be ratio | inv_arg | inv_arg_ratio")
-    if all(evaluate(g, x) == 0.0 for x in (0.5, 1.0, 2.0)):
+    if alg._probably_zero(g):
         raise ConstructionError("profile must not be identically zero")
     if which == "ratio":
         h = alg.dualize(g, "x_over_f")
@@ -275,8 +284,8 @@ def composition_products(g1: FunctionExpr, g2: FunctionExpr,
     """
     if which not in ("two_factor", "three_factor"):
         raise ParameterError("which must be two_factor | three_factor")
-    if which == "three_factor" and g3 is None:
-        raise ParameterError("three_factor needs g3")
+    if (g3 is None) != (which == "two_factor"):  # g3 exactly for three_factor
+        raise ParameterError(f"{which} {'needs' if g3 is None else 'takes no'} g3")
     outer = alg.catalog("power", a=1.0) if which == "two_factor" else g3
     h = alg.uchiyama(outer, g1, g2)
     # an uchiyama node derives BF exactly when it derives CBF
@@ -296,8 +305,7 @@ def wendland(r: float, l: int, d: int, A=None) -> StationaryCovariance:
     """
     if r <= 0:
         raise ParameterError("support radius r must be positive")
-    if int(l) != l or l < 1:
-        raise ParameterError("exponent l must be a positive integer")
+    profile = alg.catalog("wendland_profile", r=r, l=l)
     bound = d // 2 + 1
     if l < bound:
         raise ParameterError(
@@ -305,17 +313,14 @@ def wendland(r: float, l: int, d: int, A=None) -> StationaryCovariance:
             f"requires l >= floor(d/2)+1 = {bound}"
         )
     return StationaryCovariance(
-        profile=alg.catalog("wendland_profile", r=float(r), l=int(l)),
-        mode="norm", anisotropy=A, d=d, support_radius=float(r),
+        profile=profile, mode="norm", anisotropy=A, d=d, support_radius=float(r),
         construction=f"wendland(r={r:g}, l={l}, d={d})",
     )
 
 
 def spherical(rng: float, d: int, A=None) -> Variogram:
     """Spherical variogram with range rng and sill 1; certified for d <= 3."""
-    if rng <= 0:
-        raise ParameterError("range must be positive")
-    return make_variogram(alg.catalog("spherical_profile", {"range": float(rng)}),
+    return make_variogram(alg.catalog("spherical_profile", {"range": rng}),
                           A, d, mode="norm",
                           construction=f"spherical(range={rng:g}, d={d})")
 
@@ -329,8 +334,6 @@ def spherical_covariance(rng: float, d: int, A=None) -> StationaryCovariance:
 
 def exponential_covariance(rate: float = 1.0, d: int = 1, A=None) -> StationaryCovariance:
     """C(xi) = e^(-rate |A xi|), permissible in every dimension."""
-    if rate <= 0:
-        raise ParameterError("rate must be positive")
     return StationaryCovariance(
         profile=alg.compose(alg.catalog("exp_decay", a=rate),
                             alg.catalog("power", a=0.5)),

@@ -783,6 +783,32 @@ def test_tags_key_is_refused_at_every_depth(place, tags):
         vb.expr_from_json(place({"tags": tags}))
 
 
+@pytest.mark.parametrize("key", [{"levi": {"drift": 1.0}}, {"shift": 1.0},
+                                 {"rule": "x_over_f"}], ids=repr)
+@pytest.mark.parametrize("place", [_at_top, _in_args, _in_density])
+def test_unknown_key_is_refused_at_every_depth(place, key):
+    """A misspelt or misplaced key is refused, not dropped without a word."""
+    vb.expr_from_json(place({}))
+    with pytest.raises(ParameterError, match=f"unknown key.*'{next(iter(key))}'"):
+        vb.expr_from_json(place(key))
+
+
+@pytest.mark.parametrize("e", [
+    vb.fpow(vb.catalog("log1p"), 0.5),
+    vb.combine(vb.catalog("log1p"), vb.catalog("power", {"a": 0.5}), "geometric", 0.5),
+    vb.dualize(vb.catalog("log1p"), "x_over_f"),
+    vb.affine(vb.catalog("log1p"), shift=1.0, scale=2.0),
+])
+def test_each_op_takes_only_its_own_keys(e):
+    """An op's JSON loads with its own keys, and a key of another op is refused."""
+    j = vb.expr_to_json(e)
+    assert vb.expr_to_json(vb.expr_from_json(j)) == j
+    foreign = {"power": "shift", "combine": "scale", "dualize": "alpha",
+               "affine": "rule"}[j["op"]]
+    with pytest.raises(ParameterError, match=f"op '{j['op']}' has unknown key"):
+        vb.expr_from_json({**j, foreign: 1.0})
+
+
 def test_unknown_op_lists_the_ops():
     for op in ("warp", ["sum"]):
         with pytest.raises(ParameterError, match="unknown expression op") as info:

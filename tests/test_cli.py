@@ -535,6 +535,51 @@ def test_construct_unknown_constructor_lists_every_recipe(capsys):
         assert name in err
 
 
+def test_construct_two_factor_with_g3_exits_2(capsys):
+    recipe = {"constructor": "composition_products",
+              "args": {"g1": {"atom": "power", "params": {"a": 1.0}},
+                       "g2": {"atom": "log1p"},
+                       "g3": {"atom": "power", "params": {"a": 0.5}},
+                       "which": "two_factor"}}
+    code, out, err = run(capsys, "construct", "--model", json.dumps(recipe))
+    assert code == 2 and out == ""
+    assert "two_factor takes no g3" in err
+
+
+@pytest.mark.parametrize("command, own_keys", [
+    ("catalog", set()),
+    ("validate", {"model", "points", "checks", "tol"}),
+    ("construct", {"recipe"}),
+    ("grid", {"model", "grid"}),
+    ("krige", {"model", "points", "grid", "mode"}),
+    ("simulate", {"model", "points", "seed", "replicates", "bins", "tol",
+                  "diag_shift", "min_eigenvalue", "cond"}),
+])
+def test_every_command_embeds_command_and_out(tmp_path, command, own_keys):
+    sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0], [2.5]], [1.0, 2.0, 0.0])
+    argv = {
+        "catalog": [],
+        "validate": ["--model", EXP_COV, "--points", sites],
+        "construct": ["--model", json.dumps({"constructor": "spherical",
+                                             "args": {"range": 2.0}})],
+        "grid": ["--model", EXP_COV, "--grid", "0:2:3"],
+        "krige": ["--model", EXP_COV, "--points", sites, "--grid", "0:2:3"],
+        "simulate": ["--model", EXP_COV, "--points", sites, "--replicates", "4",
+                     "--grid", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    if command in ("catalog", "grid", "simulate"):
+        head, _, _ = text.partition("\n")
+        assert head.startswith("# config: ")
+        config = json.loads(head[len("# config: "):])
+    else:
+        config = json.loads(text)["config"]
+    assert config == {**config, "command": command, "out": str(out)}
+    assert set(config) == own_keys | {"command", "out"}
+
+
 def test_krige_reports_variance_and_residual(capsys, tmp_path):
     sites = write_sites(tmp_path / "s.csv", [[0.0], [1.0], [3.0]], [1.0, 2.0, 0.0])
     code, out, _ = run(capsys, "krige", "--model", EXP_COV,

@@ -226,6 +226,15 @@ def test_composition_gates():
         vb.composition_products(g, g, which="four_factor")
 
 
+def test_composition_two_factor_refuses_g3():
+    """two_factor has no third factor, so a given g3 is an error, not
+    dropped while the construction string still names it."""
+    g = vb.catalog("log1p")
+    with pytest.raises(ParameterError, match="two_factor takes no g3"):
+        vb.composition_products(g, g, vb.catalog("power", {"a": 0.5}),
+                                which="two_factor")
+
+
 # ----------------------------------------------------------------------
 # compactly supported and classical families
 
@@ -247,6 +256,11 @@ def test_wendland_exponent_bound_by_dimension(d):
         with pytest.raises(ParameterError) as err:
             vb.wendland(1.0, bound - 1, d=d)
         assert f"floor(d/2)+1 = {bound}" in str(err.value)
+
+
+def test_wendland_nan_exponent_is_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"parameter 'l' must satisfy 1 <= integer l \(got nan\)"):
+        vb.wendland(1.0, float("nan"), 2)
 
 
 def test_wendland_rejects_fractional_exponent():

@@ -1,4 +1,5 @@
-"""Replay the benchmark's CLI jobs through one checkout and keep every output.
+"""Replay the CLI jobs of the benchmark, and a few more, through one checkout
+and keep every output.
 
     python3 tools/replay_outputs.py --src CHECKOUT/src --out DIR
 
@@ -10,7 +11,11 @@ outputs echo are the same for every checkout. The inputs are those of seed
 SEED, and every job of rounds 0 .. ROUNDS-1 runs through
 ``variobern.cli.main`` in this process, as the benchmark runs it, and lands in ``DIR/<workload>/round<r>/`` as
 ``<job id>.json`` or ``<job id>.csv`` (its output file, if it wrote one),
-``<job id>.exit`` (the exit code) and ``<job id>.stderr``. Replaying two
+``<job id>.exit`` (the exit code) and ``<job id>.stderr``. The commands no
+benchmark job runs (catalog, grid, construct with a model and with a kernel
+recipe, and the two refusals of a model without compact support:
+eventual_constancy and a sparse krige on a variogram) run once on the fixed
+inputs of ``EXTRA`` and land the same way in ``DIR/extra/``. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
 byte a change moved. Because the work directory is shared, replays run one
 after the other: a replay holds a lock on it and refuses to start while
@@ -24,6 +29,7 @@ import contextlib
 import fcntl
 import importlib.util
 import io
+import json
 import os
 import shutil
 import sys
@@ -62,6 +68,59 @@ def _run(argv: list[str]) -> tuple[str, str]:
     return code, err.getvalue()
 
 
+def _keep(argv: list[str], out_file: str, stem: str) -> None:
+    """Run one job and keep its output file, exit code and stderr at stem."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(out_file)
+    code, err = _run(argv)
+    if os.path.exists(out_file):
+        shutil.copyfile(out_file, stem + os.path.splitext(out_file)[1])
+    with open(stem + ".exit", "w", encoding="utf-8") as fh:
+        fh.write(code + "\n")
+    with open(stem + ".stderr", "w", encoding="utf-8") as fh:
+        fh.write(err)
+
+
+# the extra jobs' inputs: a spherical variogram in d = 2, which both
+# compact-support rules refuse since it is not a covariance, and a site CSV
+SPHERICAL = json.dumps({"type": "variogram", "mode": "norm", "d": 2,
+                        "profile": {"atom": "spherical_profile",
+                                    "params": {"range": 1.5}}})
+SITES = "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,0.5\n"
+# job id -> (output suffix, argv without --out; SITES is the site CSV path)
+EXTRA = {
+    "catalog": (".txt", ["catalog"]),
+    "grid": (".csv", ["grid", "--model", SPHERICAL, "--grid", "-1:2:4,0:1:3"]),
+    "construct_model": (".json", ["construct", "--model", json.dumps(
+        {"constructor": "wendland", "args": {"r": 2.5, "l": 2, "d": 2}})]),
+    "construct_kernel": (".json", ["construct", "--model", json.dumps(
+        {"constructor": "difference_kernel",
+         "args": {"base": json.loads(SPHERICAL), "eta": [0.5, 0.25]}})]),
+    "eventual_constancy_variogram": (".json", [
+        "validate", "--model", SPHERICAL, "--checks", "eventual_constancy"]),
+    "krige_sparse_variogram": (".json", [
+        "krige", "--model", SPHERICAL, "--points", "SITES",
+        "--grid", "0:1:2,0:1:2", "--mode", "sparse"]),
+}
+
+
+def replay_extra(out: str) -> int:
+    """Run the EXTRA jobs into out/extra; returns the number of jobs run."""
+    base = os.path.join(WORK, "extra")
+    shutil.rmtree(base, ignore_errors=True)
+    os.makedirs(base)
+    sites = os.path.join(base, "sites.csv")
+    with open(sites, "w", encoding="utf-8") as fh:
+        fh.write(SITES)
+    dest = os.path.join(out, "extra")
+    os.makedirs(dest, exist_ok=True)
+    for job, (suffix, argv) in EXTRA.items():
+        out_file = os.path.join(base, job + suffix)
+        argv = [sites if a == "SITES" else a for a in argv] + ["--out", out_file]
+        _keep(argv, out_file, os.path.join(dest, job))
+    return len(EXTRA)
+
+
 def replay(inputs, out: str) -> int:
     """Run every job of every workload; returns the number of jobs run."""
     n = 0
@@ -73,16 +132,7 @@ def replay(inputs, out: str) -> int:
             dest = os.path.join(out, workload, f"round{r}")
             os.makedirs(dest, exist_ok=True)
             for job in inputs.round_jobs(manifest, base, r):
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(job["out"])
-                code, err = _run(job["argv"])
-                stem = os.path.join(dest, job["id"])
-                if os.path.exists(job["out"]):
-                    shutil.copyfile(job["out"], stem + os.path.splitext(job["out"])[1])
-                with open(stem + ".exit", "w", encoding="utf-8") as fh:
-                    fh.write(code + "\n")
-                with open(stem + ".stderr", "w", encoding="utf-8") as fh:
-                    fh.write(err)
+                _keep(job["argv"], job["out"], os.path.join(dest, job["id"]))
                 n += 1
     return n
 
@@ -108,7 +158,9 @@ def main(argv=None) -> int:
                              "run replays one after the other") from None
         t0 = time.perf_counter()
         n = replay(_load_inputs(), args.out)
-    print(f"{n} jobs in {time.perf_counter() - t0:.1f} s from {src} -> {args.out}")
+        n_extra = replay_extra(args.out)
+    print(f"{n} benchmark jobs and {n_extra} extra jobs in "
+          f"{time.perf_counter() - t0:.1f} s from {src} -> {args.out}")
     return 0
 
 
