@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -428,21 +428,15 @@ def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
     return np.where((v < 0.0) & (v > -1e-9 * scale), 0.0, v)
 
 
-# node kinds whose rules are only defined on the real half line
-_REAL_ONLY = frozenset({"combine", "dualize", "uchiyama", "spectral"})
-
-
 def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
     """Evaluate e at real x >= 0 or at complex x off the negative real axis.
 
     An atom whose input holds no 0 and no inf is its body applied to the
     whole array; only an input that holds one of them takes the endpoint
-    branch, which fills those entries from the atom's limits.
+    branch, which fills those entries from the atom's limits. Every other
+    node is the value rule of its kind's ``_OPS`` row, which also says
+    whether the rule takes only real x.
     """
-    if e.kind in _REAL_ONLY and np.iscomplexobj(x):
-        raise EvaluationError(
-            f"complex evaluation is unsupported for node kind '{e.kind}'"
-        )
     if e.kind == "atom":
         if np.iscomplexobj(x) and e.name not in COMPLEX_ATOMS:
             raise EvaluationError(
@@ -462,43 +456,30 @@ def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
         if body.any():
             out[body] = spec.body(x[body], p)
         return out
-    if e.kind == "affine":
-        p = e.params_dict
-        return p["shift"] + p["scale"] * _ev(e.children[0], x)
-    if e.kind == "sum":
-        acc = _ev(e.children[0], x).copy()
-        for c in e.children[1:]:
-            acc += _ev(c, x)
-        return acc
-    if e.kind == "product":
-        acc = _ev(e.children[0], x).copy()
-        for c in e.children[1:]:
-            acc *= _ev(c, x)
-        return acc
-    if e.kind == "compose":
-        f, g = e.children
-        return _ev(f, _clamp_roundoff(_ev(g, x)))
-    if e.kind == "power":
-        base = _clamp_roundoff(_ev(e.children[0], x))
-        return base ** e.alpha
-    if e.kind == "combine":
-        return _COMBINE[e.name][3](*e.children, x, e.alpha)
-    if e.kind == "dualize":
-        (f,) = e.children
-        if e.name == "reciprocal":
-            return 1.0 / _ev(f, x)
-        xs = _sub_endpoints(x)
-        fv = _ev(f, xs)
-        return xs / fv if e.name == "x_over_f" else fv / xs
-    if e.kind == "uchiyama":
-        h, f, g = e.children
-        hv = _ev(h, _clamp_roundoff(_ev(f, x)))
-        xs = _sub_endpoints(x)
-        ratio = _clamp_roundoff(xs / _ev(f, xs))
-        return hv * _ev(g, ratio)
-    if e.kind == "spectral":
-        return _spectral(e.children[0], np.abs(x))
-    raise EvaluationError(f"unknown expression kind '{e.kind}'")
+    if e.kind not in _OPS:
+        raise EvaluationError(f"unknown expression kind '{e.kind}'")
+    *_, rule, real_only = _OPS[e.kind]
+    if real_only and np.iscomplexobj(x):
+        raise EvaluationError(
+            f"complex evaluation is unsupported for node kind '{e.kind}'"
+        )
+    return rule(e, x)
+
+
+def _ev_dualize(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
+    (f,) = e.children
+    if e.name == "reciprocal":
+        return 1.0 / _ev(f, x)
+    xs = _sub_endpoints(x)
+    return xs / _ev(f, xs) if e.name == "x_over_f" else _ev(f, xs) / xs
+
+
+def _ev_uchiyama(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
+    h, f, g = e.children
+    hv = _ev(h, _clamp_roundoff(_ev(f, x)))
+    xs = _sub_endpoints(x)
+    ratio = _clamp_roundoff(xs / _ev(f, xs))
+    return hv * _ev(g, ratio)
 
 
 def evaluate(e: FunctionExpr, x):
@@ -852,10 +833,9 @@ def _levy_from_json(d) -> LevyTriple | None:
     """A triple {drift, constant, atoms: [[t, mass], ...] or density: expr}."""
     if d is None:
         return None
-    if not isinstance(d, dict) or not set(d) <= {"drift", "constant", "atoms", "density"}:
-        raise ParameterError(
-            f"expression 'levy' must be an object with keys drift, constant, "
-            f"atoms or density, got {d!r}")
+    if not isinstance(d, dict):
+        raise ParameterError(f"expression 'levy' must be an object, got {d!r}")
+    _known_keys(d, tuple(f.name for f in fields(LevyTriple)), "expression 'levy'")
     atoms = d.get("atoms", [])
     if not isinstance(atoms, (list, tuple)) or not all(
             isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms):
@@ -877,19 +857,29 @@ def _field(d: dict, key: str, default=None) -> float:
     return _number(d.get(key, default), f"op '{d['op']}' field '{key}'")
 
 
-# op -> (number of arguments, None if any; own keys; builder from (args, op JSON))
+# op -> (number of arguments, None if any; own keys; builder from (args, op
+# JSON); value rule (node, x) -> values; whether the rule takes only real x)
 _OPS = {
-    "sum": (None, (), lambda a, d: fsum(*a)),
-    "product": (None, (), lambda a, d: fprod(*a)),
-    "compose": (2, (), lambda a, d: compose(*a)),
-    "power": (1, ("alpha",), lambda a, d: fpow(a[0], _field(d, "alpha"))),
+    "sum": (None, (), lambda a, d: fsum(*a),
+            lambda e, x: functools.reduce(np.add, (_ev(c, x) for c in e.children)), False),
+    "product": (None, (), lambda a, d: fprod(*a),
+                lambda e, x: functools.reduce(np.multiply, (_ev(c, x) for c in e.children)),
+                False),
+    "compose": (2, (), lambda a, d: compose(*a),
+                lambda e, x: _ev(e.children[0], _clamp_roundoff(_ev(e.children[1], x))), False),
+    "power": (1, ("alpha",), lambda a, d: fpow(a[0], _field(d, "alpha")),
+              lambda e, x: _clamp_roundoff(_ev(e.children[0], x)) ** e.alpha, False),
     "combine": (2, ("rule", "alpha"),
-                lambda a, d: combine(*a, d.get("rule", ""), _field(d, "alpha", math.nan))),
-    "dualize": (1, ("rule",), lambda a, d: dualize(a[0], d.get("rule", ""))),
-    "uchiyama": (3, (), lambda a, d: uchiyama(*a)),
-    "spectral": (1, (), lambda a, d: spectral_node(a[0])),
+                lambda a, d: combine(*a, d.get("rule", ""), _field(d, "alpha", math.nan)),
+                lambda e, x: _COMBINE[e.name][3](*e.children, x, e.alpha), True),
+    "dualize": (1, ("rule",), lambda a, d: dualize(a[0], d.get("rule", "")), _ev_dualize, True),
+    "uchiyama": (3, (), lambda a, d: uchiyama(*a), _ev_uchiyama, True),
+    "spectral": (1, (), lambda a, d: spectral_node(a[0]),
+                 lambda e, x: _spectral(e.children[0], np.abs(x)), True),
     "affine": (1, ("shift", "scale"), lambda a, d: affine(
-        a[0], shift=_field(d, "shift", 0.0), scale=_field(d, "scale", 1.0))),
+        a[0], shift=_field(d, "shift", 0.0), scale=_field(d, "scale", 1.0)),
+        lambda e, x: e.params_dict["shift"] + e.params_dict["scale"] * _ev(e.children[0], x),
+        False),
 }
 
 
@@ -903,15 +893,15 @@ def expr_from_json(d: dict) -> FunctionExpr:
     if "atom" in d:
         if not isinstance(d["atom"], str):
             raise ParameterError(f"expression 'atom' must be a name, got {d['atom']!r}")
-        _known_keys(d, ("atom", "params", "levy"), f"atom '{d['atom']}'")
+        _known_keys(d, ("atom", "params", "levy"), f"expression atom '{d['atom']}'")
         e = catalog(d["atom"], _json_field(d, "params", dict, {}, "an object"))
     elif "op" in d:
         op = d["op"]
         if not isinstance(op, str) or op not in _OPS:
             raise ParameterError(
                 f"unknown expression op '{op}'; expected one of {', '.join(_OPS)}")
-        arity, own, build = _OPS[op]
-        _known_keys(d, ("op", "args", "levy", *own), f"op '{op}'")
+        arity, own, build, *_ = _OPS[op]
+        _known_keys(d, ("op", "args", "levy", *own), f"expression op '{op}'")
         args = [expr_from_json(a) for a in _json_field(d, "args", list, [], "a list")]
         if arity is not None and len(args) != arity:
             raise ParameterError(f"{op} takes exactly {arity} argument(s), got {len(args)}")
@@ -923,11 +913,11 @@ def expr_from_json(d: dict) -> FunctionExpr:
     return e
 
 
-def _known_keys(d: dict, keys: tuple, node: str) -> None:
-    """Refuse a key of expression node d outside keys."""
+def _known_keys(d: dict, keys: tuple, what: str) -> None:
+    """Refuse a key of the JSON object d outside keys; what names d."""
     unknown = [repr(k) for k in d if k not in keys]
     if unknown:
-        raise ParameterError(f"expression {node} has unknown key(s) {', '.join(unknown)}; "
+        raise ParameterError(f"{what} has unknown key(s) {', '.join(unknown)}; "
                              f"it takes {', '.join(keys)}")
 
 

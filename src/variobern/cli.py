@@ -4,6 +4,9 @@ Subcommands: catalog, validate, construct, grid, krige, simulate. Every
 output embeds the effective configuration so a run can be reproduced from
 its own artifact. A command returns (exit code, config, body), and ``main``
 adds "command" and "out" to the config and writes the frame (``_emit``).
+The parser is built from two tables: ``_COMMANDS`` gives each command its
+runner, help and required and optional flags, and ``_FLAGS`` each flag its
+``add_argument`` keywords.
 Exit status: 0 success (validate: all checks pass), 1 a check failed,
 2 inconclusive or error.
 """
@@ -296,39 +299,49 @@ def _shift_kernel_recipe(ctor: str, args: dict) -> dict:
     }
 
 
-# constructor name -> builder from the recipe args; builders return a
-# radial model, except the shift kernels, which return a payload dict
+_PLACED = ("d", "A")  # the keys _placement reads
+# constructor name -> (its arg keys, builder from the recipe args); builders
+# return a radial model, except the shift kernels, which return a payload dict
 _RECIPES = {
-    "ma_product": lambda a: models.ma_product(
-        _arg(a, "a1", 1.0), _arg(a, "a2", 1.0), **_placement(a)),
-    "schur_product_extended": lambda a: models.schur_product_extended(
+    "ma_product": (("a1", "a2", *_PLACED), lambda a: models.ma_product(
+        _arg(a, "a1", 1.0), _arg(a, "a2", 1.0), **_placement(a))),
+    "schur_product_extended": (("g1", "g2", "alpha", "beta", *_PLACED),
+                               lambda a: models.schur_product_extended(
         _expr_arg(a, "g1"), _expr_arg(a, "g2"),
-        _arg(a, "alpha", 0.5), _arg(a, "beta", 0.5), **_placement(a)),
-    "cbf_variograms": lambda a: models.cbf_variograms(
-        _expr_arg(a, "g"), str(a.get("which", "ratio")), **_placement(a)),
-    "composition_products": lambda a: models.composition_products(
+        _arg(a, "alpha", 0.5), _arg(a, "beta", 0.5), **_placement(a))),
+    "cbf_variograms": (("g", "which", *_PLACED), lambda a: models.cbf_variograms(
+        _expr_arg(a, "g"), str(a.get("which", "ratio")), **_placement(a))),
+    "composition_products": (("g1", "g2", "g3", "which", *_PLACED),
+                             lambda a: models.composition_products(
         _expr_arg(a, "g1"), _expr_arg(a, "g2"),
         alg.expr_from_json(a["g3"]) if "g3" in a else None,
-        which=str(a.get("which", "two_factor")), **_placement(a)),
-    "difference_kernel": lambda a: _shift_kernel_recipe("difference_kernel", a),
-    "sum_kernel": lambda a: _shift_kernel_recipe("sum_kernel", a),
-    "spectral_variogram": lambda a: kernels.spectral_variogram(_expr_arg(a, "f")),
-    "wendland": lambda a: models.wendland(
-        _arg(a, "r", 1.0), _arg(a, "l", 1, int), **_placement(a)),
-    "spherical": lambda a: models.spherical(_arg(a, "range", 1.0), **_placement(a)),
+        which=str(a.get("which", "two_factor")), **_placement(a))),
+    "difference_kernel": (("base", "eta"),
+                          lambda a: _shift_kernel_recipe("difference_kernel", a)),
+    "sum_kernel": (("base", "eta"), lambda a: _shift_kernel_recipe("sum_kernel", a)),
+    "spectral_variogram": (("f",), lambda a: kernels.spectral_variogram(_expr_arg(a, "f"))),
+    "wendland": (("r", "l", *_PLACED), lambda a: models.wendland(
+        _arg(a, "r", 1.0), _arg(a, "l", 1, int), **_placement(a))),
+    "spherical": (("range", *_PLACED),
+                  lambda a: models.spherical(_arg(a, "range", 1.0), **_placement(a))),
 }
 
 
 def _build_recipe(recipe: dict):
-    """The radial model, or a shift kernel's payload dict, the recipe builds."""
+    """The radial model, or a shift kernel's payload dict, the recipe builds;
+    a key the recipe or its constructor's args do not take is refused."""
+    if not isinstance(recipe, dict):
+        raise VarioBernError(f"recipe JSON must be an object, got {recipe!r}")
+    alg._known_keys(recipe, ("constructor", "args"), "recipe")
     ctor = recipe.get("constructor")
     args = recipe.get("args", {})
     if not isinstance(args, dict):
         raise VarioBernError("recipe 'args' must be an object")
-    build = _RECIPES.get(ctor) if isinstance(ctor, str) else None
-    if build is None:
+    if not isinstance(ctor, str) or ctor not in _RECIPES:
         raise VarioBernError(
             f"unknown constructor {ctor!r}; available: {', '.join(_RECIPES)}")
+    keys, build = _RECIPES[ctor]
+    alg._known_keys(args, keys, f"constructor '{ctor}'")
     return build(args)
 
 
@@ -361,8 +374,6 @@ def cmd_grid(args) -> tuple[int, dict, list[str]]:
 
 def cmd_krige(args) -> tuple[int, dict, dict]:
     model = _load_model(args.model)
-    if not args.points:
-        raise VarioBernError("krige command needs --points with a value column")
     if not args.grid:
         raise VarioBernError(
             "krige command needs --grid lo:hi:n[,...] for the target sites")
@@ -378,8 +389,6 @@ def cmd_krige(args) -> tuple[int, dict, dict]:
 
 def cmd_simulate(args) -> tuple[int, dict, list[str]]:
     model = _load_model(args.model)
-    if not args.points:
-        raise VarioBernError("simulate command needs --points for the sites")
     pts = read_points_csv(args.points)
     sites = PointSet(pts.coords)  # values, if present, are ignored
     spec = kriging.SimulationSpec(model=model, sites=sites, seed=args.seed,
@@ -405,51 +414,47 @@ def cmd_simulate(args) -> tuple[int, dict, list[str]]:
 # ----------------------------------------------------------------------
 # parser / entry
 
+# flag -> its add_argument keywords
+_FLAGS = {
+    "--model": {"help": "model/recipe JSON, inline or a file path"},
+    "--points": {"help": "sites CSV (header x1,...,xd[,value])"},
+    "--tol": {"type": float, "default": 1e-8, "help": "relative tolerance (default 1e-8)"},
+    "--seed": {"type": int, "default": 0, "help": "master seed"},
+    "--out": {"help": "output path (default stdout)"},
+    "--grid": {"help": "grid, krige: axis spec lo:hi:n[,lo:hi:n...]; "
+                       "simulate: number of lag bins (default 10)"},
+    "--mode": {"choices": ("dense", "sparse"), "default": "dense",
+               "help": "system assembly mode"},
+    "--checks": {"help": "comma-separated subset of: " + ", ".join(_CHECKS)},
+    "--replicates": {"type": int, "default": 200, "help": "number of replicates (default 200)"},
+}
+
+# command -> (runner, help, required flags, optional flags)
+_COMMANDS = {
+    "catalog": (cmd_catalog, "list atoms and table profiles", (), ("--out",)),
+    "validate": (cmd_validate, "run permissibility checks", ("--model",),
+                 ("--points", "--tol", "--out", "--checks")),
+    "construct": (cmd_construct, "materialize a constructor recipe", ("--model",), ("--out",)),
+    "grid": (cmd_grid, "tabulate model values on a grid", ("--model",), ("--out", "--grid")),
+    "krige": (cmd_krige, "ordinary kriging at grid targets", ("--model", "--points"),
+              ("--out", "--grid", "--mode")),
+    "simulate": (cmd_simulate, "simulate replicates, emit empirical variogram",
+                 ("--model", "--points"), ("--tol", "--seed", "--out", "--grid", "--replicates")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="variobern", allow_abbrev=False,
         description="Variogram and covariance construction, validation, "
                     "kriging and simulation.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, model=False, points=False, grid=False,
-                mode=False, tol=False, seed=False):
+    for name, (func, help, required, optional) in _COMMANDS.items():
         # no flag abbreviations: _join_negative_grid knows only '--grid'
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(func=func)
-        if model:
-            sp.add_argument("--model", required=True,
-                            help="model/recipe JSON, inline or a file path")
-        if points:
-            sp.add_argument("--points", help="sites CSV (header x1,...,xd[,value])")
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-8,
-                            help="relative tolerance (default 1e-8)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.add_argument("--out", help="output path (default stdout)")
-        if grid:
-            sp.add_argument("--grid", help="axis spec lo:hi:n[,lo:hi:n...]")
-        if mode:
-            sp.add_argument("--mode", choices=("dense", "sparse"),
-                            default="dense", help="system assembly mode")
-        return sp
-
-    command("catalog", cmd_catalog, "list atoms and table profiles")
-    command("validate", cmd_validate, "run permissibility checks",
-            model=True, points=True, tol=True).add_argument(
-        "--checks", help="comma-separated subset of: " + ", ".join(_CHECKS))
-    command("construct", cmd_construct, "materialize a constructor recipe",
-            model=True)
-    command("grid", cmd_grid, "tabulate model values on a grid",
-            model=True, grid=True)
-    command("krige", cmd_krige, "ordinary kriging at grid targets",
-            model=True, points=True, grid=True, mode=True)
-    command("simulate", cmd_simulate,
-            "simulate replicates, emit empirical variogram", model=True,
-            points=True, grid=True, tol=True, seed=True).add_argument(
-        "--replicates", type=int, default=200,
-        help="number of replicates (default 200)")
+        for flag in required + optional:
+            sp.add_argument(flag, required=flag in required, **_FLAGS[flag])
     return p
 
 

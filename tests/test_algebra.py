@@ -124,6 +124,19 @@ def test_matern_of_a_high_half_integer_order():
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("nu", [2.0, 3.0, 5.0])
+def test_integer_order_matern_series_near_zero(nu):
+    """Below z = 1e-4 an integer order nu > 1 takes the series z^2/(4(nu-1)),
+    whose worst error there against 40-digit mpmath is 2.5e-8 (nu = 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    z = np.geomspace(1e-8, 0.999e-4, 17)
+    got = vb.evaluate(vb.catalog("matern", {"alpha": 1.0, "nu": nu}), z * z)
+    with mpmath.workdps(40):
+        want = [float(1 - mpmath.mpf(2) ** (1 - nu) / mpmath.gamma(nu) * mpmath.mpf(t) ** nu
+                      * mpmath.besselk(nu, mpmath.mpf(t))) for t in z]
+    assert np.allclose(got, want, rtol=5e-8, atol=0.0)
+
+
 def test_matern_of_other_orders_keeps_the_bessel_formula():
     from scipy import special as sc
     nu = 1.2
@@ -550,6 +563,31 @@ def test_levy_negative_argument():
         vb.levy_eval(f.levy, -0.5)
 
 
+def test_fsum_and_fprod_need_a_term_and_return_a_single_one():
+    f = vb.catalog("log1p")
+    for build in (vb.fsum, vb.fprod):
+        with pytest.raises(ConstructionError):
+            build()
+        assert build(f) is f
+
+
+def test_sum_and_product_fold_their_children_left_to_right():
+    """Three children give the bits of ((a op b) op c), real and complex."""
+    kids = [vb.catalog("log1p"), vb.catalog("frac_linear", {"lam": 2.0}),
+            vb.catalog("power", {"a": 0.5})]
+    for x, ev in ((np.linspace(0.0, 9.0, 19), vb.evaluate),
+                  (np.linspace(0.1, 9.0, 19) + 1j, vb.evaluate_complex)):
+        a, b, c = (ev(k, x) for k in kids)
+        assert np.array_equal(ev(vb.fsum(*kids), x), a + b + c)
+        assert np.array_equal(ev(vb.fprod(*kids), x), a * b * c)
+
+
+def test_unknown_node_kind_is_an_evaluation_error():
+    from variobern.algebra import _node
+    with pytest.raises(EvaluationError, match="unknown expression kind 'warp'"):
+        vb.evaluate(_node("warp", children=(vb.catalog("log1p"),)), 1.0)
+
+
 # ----------------------------------------------------------------------
 # complex continuation
 
@@ -791,6 +829,14 @@ def test_unknown_key_is_refused_at_every_depth(place, key):
     vb.expr_from_json(place({}))
     with pytest.raises(ParameterError, match=f"unknown key.*'{next(iter(key))}'"):
         vb.expr_from_json(place(key))
+
+
+def test_levy_object_takes_only_the_triple_keys():
+    with pytest.raises(ParameterError, match="'levy' must be an object"):
+        vb.expr_from_json({"atom": "log1p", "levy": [1.0]})
+    with pytest.raises(ParameterError, match="'levy' has unknown key.*'dirft'.*drift, "
+                                             "constant, atoms, density"):
+        vb.expr_from_json({"atom": "log1p", "levy": {"dirft": 1.0}})
 
 
 @pytest.mark.parametrize("e", [

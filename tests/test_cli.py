@@ -546,6 +546,46 @@ def test_construct_two_factor_with_g3_exits_2(capsys):
     assert "two_factor takes no g3" in err
 
 
+@pytest.mark.parametrize("recipe, key", [
+    ({"constructor": "spherical", "args": {"rnage": 2.0, "d": 2}}, "rnage"),
+    ({"constructor": "spherical", "arg": {"range": 2.0, "d": 2}}, "arg"),
+    ({"constructor": "difference_kernel",
+      "args": {"base": vb.model_to_json(vb.make_variogram(vb.catalog("log1p"), d=1)),
+               "eta": [1.0], "etta": [2.0]}}, "etta"),
+], ids=["arg", "top_level", "kernel_arg"])
+def test_construct_refuses_an_unknown_recipe_key(capsys, recipe, key):
+    """A misspelt key once built the default model without a word."""
+    code, out, err = run(capsys, "construct", "--model", json.dumps(recipe))
+    assert code == 2 and out == ""
+    assert f"unknown key(s) '{key}'" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3"])
+def test_construct_refuses_a_recipe_that_is_not_an_object(capsys, tmp_path, text):
+    """A recipe file holding a JSON list or number once raised a traceback."""
+    path = tmp_path / "recipe.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "construct", "--model", str(path))
+    assert code == 2 and out == ""
+    assert "recipe JSON must be an object" in err
+
+
+@pytest.mark.parametrize("command", ["krige", "simulate"])
+def test_krige_and_simulate_require_points(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", EXP_COV])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --points" in capsys.readouterr().err
+
+
+def test_simulate_help_says_grid_is_a_bin_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "simulate: number of lag bins (default 10)" in text
+
+
 @pytest.mark.parametrize("command, own_keys", [
     ("catalog", set()),
     ("validate", {"model", "points", "checks", "tol"}),

@@ -342,7 +342,10 @@ def test_simulation_spec_takes_integral_values_as_ints(exp_model):
     assert vb.SimulationSpec(exp_model, pts, 2**64 + 3, 1).seed == 2**64 + 3
 
 
-_STREAM_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3]
+# from 2**96 up, the seed's 32-bit words and the stream index are more than
+# the four entropy words of the hash pool
+_STREAM_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 5,
+                 2**200 + 12345]
 
 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)

@@ -14,8 +14,10 @@ SEED, and every job of rounds 0 .. ROUNDS-1 runs through
 ``<job id>.exit`` (the exit code) and ``<job id>.stderr``. The commands no
 benchmark job runs (catalog, grid, construct with a model and with a kernel
 recipe, and the two refusals of a model without compact support:
-eventual_constancy and a sparse krige on a variogram) run once on the fixed
-inputs of ``EXTRA`` and land the same way in ``DIR/extra/``. Replaying two
+eventual_constancy and a sparse krige on a variogram) and three malformed
+commands (krige without --points, and construct with a misspelt recipe arg
+and with a misspelt top-level recipe key) run once on the fixed inputs of
+``EXTRA`` and land the same way in ``DIR/extra/``. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
 byte a change moved. Because the work directory is shared, replays run one
 after the other: a replay holds a lock on it and refuses to start while
@@ -101,6 +103,12 @@ EXTRA = {
     "krige_sparse_variogram": (".json", [
         "krige", "--model", SPHERICAL, "--points", "SITES",
         "--grid", "0:1:2,0:1:2", "--mode", "sparse"]),
+    "krige_without_points": (".json", [
+        "krige", "--model", SPHERICAL, "--grid", "0:1:2,0:1:2"]),
+    "construct_misspelt_arg": (".json", ["construct", "--model", json.dumps(
+        {"constructor": "spherical", "args": {"rnage": 2.0, "d": 2}})]),
+    "construct_misspelt_key": (".json", ["construct", "--model", json.dumps(
+        {"constructor": "spherical", "arg": {"range": 2.0, "d": 2}})]),
 }
 
 
@@ -145,6 +153,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
+    # argparse wraps a usage error at the terminal's width; one fixed width
+    # keeps the stderr of two replays comparable wherever they run
+    os.environ["COLUMNS"] = "80"
     import variobern
 
     if os.path.dirname(os.path.dirname(os.path.abspath(variobern.__file__))) != src:
