@@ -301,12 +301,13 @@ def _extreme_eigenpair(m: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     Kernel matrices are finite by construction, so the finiteness scan is
     skipped; the MRRR driver computes the one pair without the others. m is
     exactly symmetric, so m.T is the same matrix in the Fortran order LAPACK
-    reads, which scipy copies without a transpose.
+    reads, and LAPACK works in it: m is consumed, so a caller that reads m
+    afterwards passes a copy.
     """
     import scipy.linalg
 
     w, v = scipy.linalg.eigh(m.T, subset_by_index=[k, k], driver="evr",
-                             check_finite=False)
+                             check_finite=False, overwrite_a=True)
     return float(w[0]), v[:, 0]
 
 
@@ -368,9 +369,9 @@ def pd_check(cov, pts: PointSet, tol: float = 1e-8) -> PermissibilityReport:
 
 def _pd_record(c: np.ndarray, sym: np.ndarray, tol: float) -> CheckRecord:
     # the smallest eigenpair of sym, the symmetric part of c; its vector is
-    # the witness
+    # the witness, whose quadratic form reads sym, so the eigensolve gets a copy
     scale = _scale(c)
-    lam, a = _extreme_eigenpair(sym, 0)
+    lam, a = _extreme_eigenpair(sym.copy(), 0)
     return _record("pd", lam >= -tol * scale, lam / scale, tol, lambda: {
         "weights": a.tolist(), "quadratic_form": _quadratic_form(a, sym),
         "eigenvalue": lam, "scale": scale})

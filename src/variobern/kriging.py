@@ -8,16 +8,18 @@ The kriging system is the bordered form
 with K the variogram or covariance matrix on the data sites and k0 the
 model values against the target. The system is factored once per call:
 ``krige_many`` assembles K once and solves every target as one column of a
-matrix right-hand side. The dense path is one LU of the bordered matrix. The
-sparse path (compactly supported covariances only, covariance tapering in the
-sense of Furrer, Genton and Nychka, 2006) is one sparse LU of K, with the
-border eliminated by a Schur complement, so sparse and dense weights agree to
-solver accuracy. K is symmetric, so SuperLU factors it in symmetric mode: a
-minimum-degree ordering of K + K' applied to rows and columns alike, and the
-diagonal pivot kept unless it falls below _DIAG_PIVOT_THRESH of its column.
-Each result carries the kriging variance (Cressie, *Statistics for Spatial
-Data*, 1993, section 3.2) and the residual of its bordered system; on either
-path a residual above 1e-6 * max(1, max|rhs|) raises DegenerateSystemError.
+matrix right-hand side. Both storage paths solve K [x | y] = [k0 | 1] with
+one factor of K and then eliminate the border the same way: mu =
+(1'x - 1) / 1'y and w = x - y mu (a Schur complement). Only the factor
+differs. Dense K takes numpy's LU; sparse K (compactly supported covariances
+only, covariance tapering in the sense of Furrer, Genton and Nychka, 2006)
+takes SuperLU in symmetric mode: a minimum-degree ordering of K + K'
+applied to rows and columns alike, and the diagonal pivot kept unless it
+falls below _DIAG_PIVOT_THRESH of its column. So sparse and dense weights
+agree to solver accuracy. Each result carries the kriging variance
+(Cressie, *Statistics for Spatial Data*, 1993, section 3.2) and the
+residual of its bordered system, max(|K w + mu - k0|, |1'w - 1|); a
+residual above 1e-6 * max(1, max|k0|) raises DegenerateSystemError.
 
 The sparse path imports scipy (neighbour search, sparse storage, SuperLU)
 inside the functions that use it, and the dense path needs only numpy, so a
@@ -62,7 +64,8 @@ class KrigingResult:
 
     variance is the ordinary-kriging variance: w'k0 + mu for a variogram,
     C(0) - w'k0 - mu for a covariance. residual is the largest absolute
-    residual of the target's bordered system, as solved.
+    residual of the target's bordered system, max(|K w + mu - k0|, |1'w - 1|),
+    after the one factor of K and the border elimination.
     """
 
     prediction: float
@@ -171,17 +174,12 @@ def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[Krigi
     k = build_gamma_matrix(model, pts, mode)
     k0 = np.asarray(model(targets[None, :, :] - pts.coords[:, None, :]), dtype=float)
     n, t = k0.shape
+    rhs = np.column_stack([k0, np.ones(n)])
     if mode == "dense":
-        bordered = np.ones((n + 1, n + 1))
-        bordered[:n, :n] = k
-        bordered[n, n] = 0.0
-        rhs = np.vstack([k0, np.ones((1, t))])
         try:
-            sol = np.linalg.solve(bordered, rhs)
+            xy = np.linalg.solve(k, rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSystemError(f"kriging system is singular: {exc}") from None
-        resid = np.abs(bordered @ sol - rhs).max(axis=0)
-        weights, mu = sol[:n], sol[n]
     else:
         try:
             lu = splu(k, permc_spec="MMD_AT_PLUS_A",
@@ -189,15 +187,15 @@ def krige_many(model, pts: PointSet, targets, mode: str = "dense") -> list[Krigi
                       options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise DegenerateSystemError(f"sparse factorization failed: {exc}") from None
-        xy = lu.solve(np.column_stack([k0, np.ones(n)]))
-        x, y = xy[:, :t], xy[:, t]
-        denom = float(np.ones(n) @ y)
-        if abs(denom) < 1e-300:
-            raise DegenerateSystemError("border elimination degenerate: 1' K^-1 1 = 0")
-        mu = (np.ones(n) @ x - 1.0) / denom
-        weights = x - np.outer(y, mu)
-        resid = np.maximum(np.abs(k @ weights + mu - k0).max(axis=0),
-                           np.abs(weights.sum(axis=0) - 1.0))
+        xy = lu.solve(rhs)
+    x, y = xy[:, :t], xy[:, t]
+    denom = float(np.ones(n) @ y)
+    if abs(denom) < 1e-300:
+        raise DegenerateSystemError("border elimination degenerate: 1' K^-1 1 = 0")
+    mu = (np.ones(n) @ x - 1.0) / denom
+    weights = x - np.outer(y, mu)
+    resid = np.maximum(np.abs(k @ weights + mu - k0).max(axis=0),
+                       np.abs(weights.sum(axis=0) - 1.0))
     gate = 1e-6 * np.maximum(1.0, np.abs(k0).max(axis=0))
     if not (np.isfinite(weights).all() and np.isfinite(mu).all()) or (resid > gate).any():
         raise DegenerateSystemError(

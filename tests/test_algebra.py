@@ -951,3 +951,13 @@ def test_every_closure_theorem_passes_its_oracle():
             check = vb.cm_check if proved in ("CM", "S") else vb.bernstein_check
             rep = check(f, grid)
             assert rep.passed, (vb.describe(e), proved, rep.to_json())
+
+
+@pytest.mark.parametrize("node, message", [
+    ({"op": "power", "args": [{"atom": "log1p", "params": {}}]}, "op 'power' needs 'alpha'"),
+    ([{"atom": "log1p", "params": {}}], "expression JSON must be an object, got list"),
+])
+def test_expression_json_errors_name_the_node(node, message):
+    with pytest.raises(ParameterError) as info:
+        vb.expr_from_json(node)
+    assert str(info.value) == message

@@ -7,6 +7,7 @@ so the checks cannot drift away from what they claim to certify.
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -811,3 +812,27 @@ def test_radial_kernel_matrix_rejects_sites_of_another_dimension():
     model = RADIAL_MODELS["ma_d2"]()
     with pytest.raises(ParameterError, match="trailing dimension 2"):
         vb.kernel_matrix(model, vb.PointSet(np.zeros((4, 3))))
+
+
+def _cosine(lags):
+    return 1.0 - np.cos(np.asarray(lags)[..., 0])
+
+
+def _cosine_with_nugget(lags):
+    """1 - cos + 1e-6 off the origin: gamma(2 pi) misses gamma(0) by the
+    nugget, while the shift by 2 pi leaves every nonzero lag's value as it is."""
+    lags = np.asarray(lags)
+    return np.where(np.any(lags != 0.0, axis=-1), _cosine(lags) + 1e-6, 0.0)
+
+
+@pytest.mark.parametrize("gamma, refined_to", [
+    (_cosine, 0.0),  # a refinement that lands on the origin is no period
+    (_cosine_with_nugget, None),  # a refined value off gamma(0) is no period
+])
+def test_detect_period_refinement_skips_a_candidate(gamma, refined_to, monkeypatch):
+    if refined_to is not None:
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar",
+                            lambda *args, **kw: types.SimpleNamespace(x=refined_to))
+    assert vb.detect_period(gamma, search_radius=10.0) is None

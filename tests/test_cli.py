@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import variobern as vb
+from variobern import cli
 from variobern.cli import _CHECKS, _json_text, main
+from variobern.errors import VarioBernError
 
 
 def model_arg(m) -> str:
@@ -888,3 +890,34 @@ def test_command_outputs_are_indented_sorted_json(tmp_path):
         assert main([*argv, "--out", str(out)]) in (0, 1, 2)
         text = out.read_text(encoding="utf-8")
         assert text == _reference_json(json.loads(text)), name
+
+
+# ----------------------------------------------------------------------
+# input errors that name what is wrong
+
+SPHERICAL_2D = model_arg(vb.spherical(1.5, d=2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cli._load_json_arg("no/such/model.json", "model"),
+     "cannot read model file 'no/such/model.json': "),
+    (lambda: cli._parse_grid_spec("0:1", 1), "bad grid range '0:1': expected lo:hi:n"),
+    (lambda: cli._parse_grid_spec("0:one:3", 1),
+     "bad grid range '0:one:3': could not convert string to float: 'one'"),
+    (lambda: cli._parse_grid_spec("0:1:0", 1), "bad grid range '0:1:0': need n >= 1"),
+    (lambda: cli._build_recipe({"constructor": "spectral_variogram", "args": {}}),
+     "recipe args are missing 'f'"),
+    (lambda: cli._build_recipe({"constructor": "sum_kernel", "args": {"eta": [0.5]}}),
+     "sum_kernel recipe needs 'base' and 'eta'"),
+    (lambda: cli._build_recipe({"constructor": "wendland", "args": [1.5, 2]}),
+     "recipe 'args' must be an object"),
+    (lambda: cli.cmd_grid(cli.build_parser().parse_args(["grid", "--model", SPHERICAL_2D])),
+     "grid command needs --grid lo:hi:n[,lo:hi:n...]"),
+    (lambda: cli.cmd_krige(cli.build_parser().parse_args(
+        ["krige", "--model", SPHERICAL_2D, "--points", "sites.csv"])),
+     "krige command needs --grid lo:hi:n[,...] for the target sites"),
+])
+def test_cli_input_errors_name_the_input(call, message):
+    with pytest.raises(VarioBernError) as info:
+        call()
+    assert str(info.value).startswith(message)

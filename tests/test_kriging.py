@@ -582,3 +582,27 @@ def test_empirical_variogram_memory_is_linear_in_replicates(rng):
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+class _ZeroSolves:
+    """A factor whose every solve is 0, so that 1' K^-1 1 = 0."""
+
+    def solve(self, rhs):
+        return np.zeros_like(rhs)
+
+
+def _singular_splu(*args, **kw):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("fake_splu, message", [
+    (_singular_splu, "sparse factorization failed: Factor is exactly singular"),
+    (lambda *args, **kw: _ZeroSolves(), "border elimination degenerate: 1' K^-1 1 = 0"),
+])
+def test_sparse_solve_errors_are_degenerate_systems(wendland_model, rng, monkeypatch,
+                                                    fake_splu, message):
+    monkeypatch.setattr(kriging, "splu", fake_splu)
+    pts = obs(rng.uniform(0, 6, size=(30, 2)), rng.normal(size=30))
+    with pytest.raises(DegenerateSystemError) as info:
+        vb.ordinary_kriging(wendland_model, pts, [3.0, 3.0], mode="sparse")
+    assert str(info.value) == message

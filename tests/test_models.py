@@ -445,3 +445,14 @@ def test_model_json_ignores_and_omits_the_sill():
         assert back.sill == 1.0 and back.certified
         variances.append([r.variance for r in vb.krige_many(back, pts, targets)])
     assert variances[0] == variances[1]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: vb.make_variogram(vb.catalog("power", {"a": 1.0}), d=0),
+     "dimension must be >= 1"),
+    (lambda: vb.model_from_json([{"type": "variogram"}]), "model JSON must be an object"),
+])
+def test_model_errors_name_the_input(build, message):
+    with pytest.raises(ParameterError) as info:
+        build()
+    assert str(info.value) == message

@@ -218,3 +218,15 @@ def test_sample_point_sets_draws_match_unbounded_rejection(seed):
             k += 1
     (ps,) = vb.sample_point_sets(1, n, 1, seed=seed, box=1.0, min_sep=min_sep)
     assert np.array_equal(ps.coords, want)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda path: vb.PointSet(np.array([[0.0, 1.0], [np.nan, 2.0]])), "coords must be finite"),
+    (lambda path: vb.read_points_csv(path), "{path}: file is empty"),
+])
+def test_point_set_errors_name_the_input(tmp_path, build, message):
+    path = tmp_path / "sites.csv"
+    path.write_text("\n \n")
+    with pytest.raises(ParameterError) as info:
+        build(path)
+    assert str(info.value) == message.format(path=path)

@@ -14,9 +14,12 @@ SEED, and every job of rounds 0 .. ROUNDS-1 runs through
 ``<job id>.exit`` (the exit code) and ``<job id>.stderr``. The commands no
 benchmark job runs (catalog, grid, construct with a model and with a kernel
 recipe, and the two refusals of a model without compact support:
-eventual_constancy and a sparse krige on a variogram) and three malformed
-commands (krige without --points, and construct with a misspelt recipe arg
-and with a misspelt top-level recipe key) run once on the fixed inputs of
+eventual_constancy and a sparse krige on a variogram), two dense krige jobs
+(the Wendland covariance, which the benchmark krige-solves only sparsely,
+and the power(a=1) variogram |xi|^2, whose kriging system is singular on
+more than d + 2 sites) and three malformed commands (krige without
+--points, and construct with a misspelt recipe arg and with a misspelt
+top-level recipe key) run once on the fixed inputs of
 ``EXTRA`` and land the same way in ``DIR/extra/``. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
 byte a change moved. Because the work directory is shared, replays run one
@@ -84,12 +87,23 @@ def _keep(argv: list[str], out_file: str, stem: str) -> None:
 
 
 # the extra jobs' inputs: a spherical variogram in d = 2, which both
-# compact-support rules refuse since it is not a covariance, and a site CSV
+# compact-support rules refuse since it is not a covariance, the two dense
+# krige models, and two site CSVs: three sites and a 4 x 4 lattice
 SPHERICAL = json.dumps({"type": "variogram", "mode": "norm", "d": 2,
                         "profile": {"atom": "spherical_profile",
                                     "params": {"range": 1.5}}})
-SITES = "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,0.5\n"
-# job id -> (output suffix, argv without --out; SITES is the site CSV path)
+WENDLAND = json.dumps({"type": "covariance", "mode": "norm", "d": 2,
+                       "profile": {"atom": "wendland_profile",
+                                   "params": {"r": 1.5, "l": 2}}})
+SQUARED_NORM = json.dumps({"type": "variogram", "mode": "squared_norm", "d": 2,
+                           "profile": {"atom": "power", "params": {"a": 1.0}}})
+SITE_SETS = {
+    "SITES": "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,0.5\n",
+    "LATTICE": "x1,x2,value\n" + "".join(
+        f"{0.5 * i},{0.5 * j},{(i * j) % 3 + 0.25 * i}\n"
+        for i in range(4) for j in range(4)),
+}
+# job id -> (output suffix, argv without --out; a SITE_SETS key is its CSV path)
 EXTRA = {
     "catalog": (".txt", ["catalog"]),
     "grid": (".csv", ["grid", "--model", SPHERICAL, "--grid", "-1:2:4,0:1:3"]),
@@ -103,6 +117,12 @@ EXTRA = {
     "krige_sparse_variogram": (".json", [
         "krige", "--model", SPHERICAL, "--points", "SITES",
         "--grid", "0:1:2,0:1:2", "--mode", "sparse"]),
+    "krige_dense_wendland": (".json", [
+        "krige", "--model", WENDLAND, "--points", "LATTICE",
+        "--grid", "0.1:1.4:3,0.2:1.3:3"]),
+    "krige_dense_squared_norm": (".json", [
+        "krige", "--model", SQUARED_NORM, "--points", "LATTICE",
+        "--grid", "0.1:1.4:3,0.2:1.3:3"]),
     "krige_without_points": (".json", [
         "krige", "--model", SPHERICAL, "--grid", "0:1:2,0:1:2"]),
     "construct_misspelt_arg": (".json", ["construct", "--model", json.dumps(
@@ -117,14 +137,16 @@ def replay_extra(out: str) -> int:
     base = os.path.join(WORK, "extra")
     shutil.rmtree(base, ignore_errors=True)
     os.makedirs(base)
-    sites = os.path.join(base, "sites.csv")
-    with open(sites, "w", encoding="utf-8") as fh:
-        fh.write(SITES)
+    paths = {}
+    for name, text in SITE_SETS.items():
+        paths[name] = os.path.join(base, name.lower() + ".csv")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
     dest = os.path.join(out, "extra")
     os.makedirs(dest, exist_ok=True)
     for job, (suffix, argv) in EXTRA.items():
         out_file = os.path.join(base, job + suffix)
-        argv = [sites if a == "SITES" else a for a in argv] + ["--out", out_file]
+        argv = [paths.get(a, a) for a in argv] + ["--out", out_file]
         _keep(argv, out_file, os.path.join(dest, job))
     return len(EXTRA)
 
