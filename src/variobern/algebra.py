@@ -431,9 +431,8 @@ def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
 def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
     """Evaluate e at real x >= 0 or at complex x off the negative real axis.
 
-    An atom whose input holds no 0 and no inf is its body applied to the
-    whole array; only an input that holds one of them takes the endpoint
-    branch, which fills those entries from the atom's limits. Every other
+    An atom is its body applied to the whole array, and then the entries
+    at 0 and at inf are overwritten by the atom's limits there. Every other
     node is the value rule of its kind's ``_OPS`` row, which also says
     whether the rule takes only real x.
     """
@@ -443,18 +442,12 @@ def _ev(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
                 f"atom '{e.name}' has no complex continuation implemented"
             )
         spec, p = REGISTRY[e.name], e.params_dict
-        if x.all() and not np.isinf(x).any():
-            return spec.body(x, p)
-        out = np.empty_like(x)
-        zero = x == 0.0
-        infm = np.isinf(x)
-        body = ~(zero | infm)
-        if zero.any():
-            out[zero] = spec.zero(p)
-        if infm.any():
-            out[infm] = spec.inf(p)
-        if body.any():
-            out[body] = spec.body(x[body], p)
+        out = spec.body(x, p)
+        if not x.all():
+            out[x == 0.0] = spec.zero(p)
+        inf = np.isinf(x)
+        if inf.any():
+            out[inf] = spec.inf(p)
         return out
     if e.kind not in _OPS:
         raise EvaluationError(f"unknown expression kind '{e.kind}'")
@@ -485,9 +478,9 @@ def _ev_uchiyama(e: FunctionExpr, x: np.ndarray) -> np.ndarray:
 def evaluate(e: FunctionExpr, x):
     """Evaluate an expression at x >= 0 (scalars or arrays, elementwise).
 
-    x = 0 is evaluated through the limit branch of each node; a non-finite
-    result (no finite limit, overflow, domain violation) raises
-    EvaluationError rather than returning NaN or inf.
+    Each atom takes its limit at every entry where its argument is 0 or
+    inf; a non-finite result (no finite limit, overflow, domain violation)
+    raises EvaluationError rather than returning NaN or inf.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -515,7 +508,8 @@ def evaluate_complex(e: FunctionExpr, z):
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     pts = np.atleast_1d(zz)
-    vals = _ev(e, pts)
+    with np.errstate(all="ignore"):
+        vals = _ev(e, pts)
     return complex(vals[0]) if scalar else vals.reshape(zz.shape)
 
 

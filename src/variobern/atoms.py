@@ -1,9 +1,13 @@
 """Catalog atom numerics and metadata.
 
-Every atom evaluates on the closed extended half line: bodies receive strictly
-positive finite arguments, while the limits at 0 and +inf are supplied
-separately so composition chains can propagate IEEE infinities without ever
-producing NaN for arguments where a limit exists. The bodies of the atoms
+Every atom evaluates on the closed extended half line. A body sees every
+argument, 0 and +inf included, and its values there are overwritten by the
+limits at 0 and +inf, which are supplied separately, so composition chains
+can propagate IEEE infinities without ever producing NaN for arguments where
+a limit exists. Since the overwrite writes into the body's result, a body
+returns a new array, never its input or a view of it. A body with regimes
+follows the same pattern: it computes its main formula over the whole array
+and overwrites the entries another formula covers. The bodies of the atoms
 in COMPLEX_ATOMS also take complex arguments off the half line.
 """
 
@@ -69,7 +73,7 @@ class AtomSpec:
     params: tuple[ParamSpec, ...]
     formula: str
     provenance: str
-    body: Callable  # body(x, p) for strictly positive finite x
+    body: Callable  # body(x, p) for every x; a new array, 0 and inf overwritten
     zero: Callable  # p -> limit at 0 (may be inf)
     inf: Callable  # p -> limit at +inf (nan if none exists)
     tags: Callable = field(default=lambda p: frozenset())
@@ -116,25 +120,23 @@ def validate_params(spec: AtomSpec, params: dict) -> dict:
 # numeric helpers
 
 def _exp_scaled_upper_gamma(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^z * Gamma(nu; z) for z > 0, switching to the asymptotic series at
-    z >= 50 where the direct product would lose the exponential scaling."""
+    """e^z * Gamma(nu; z) for z > 0: the direct product, overwritten by the
+    asymptotic series at z >= 50, where the product would lose the
+    exponential scaling."""
     from scipy import special as sc
 
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 50.0
-    if small.any():
-        zs = z[small]
-        out[small] = np.exp(zs) * sc.gammaincc(nu, zs) * sc.gamma(nu)
-    if (~small).any():
-        zl = z[~small]
+    out = np.exp(z) * sc.gammaincc(nu, z) * sc.gamma(nu)
+    large = z >= 50.0
+    if large.any():
+        zl = z[large]
         total = np.ones_like(zl)
         term = np.ones_like(zl)
         # truncation error below 1e-18 for z >= 50 with 30 terms
         for k in range(1, 31):
             term = term * (nu - k) / zl
             total += term
-        out[~small] = zl ** (nu - 1.0) * total
+        out[large] = zl ** (nu - 1.0) * total
     return out
 
 
@@ -193,7 +195,28 @@ def _matern_body(x: np.ndarray, p: dict) -> np.ndarray:
     if m == 0.0:
         # the exponential model, exact at every z
         return -np.expm1(-z)
-    out = np.empty_like(z)
+    if m == int(m) and m <= _MATERN_TERMS_MAX:
+        # nu = m + 1/2: 2^(1-nu)/Gamma(nu) z^nu K_nu(z) = e^(-z) sum_{k<=m}
+        # c_k z^k with c_k = m! (2m-k)! 2^k / ((2m)! k! (m-k)!), so c_0 =
+        # c_1 = 1 and f = -expm1(-z) - e^(-z) sum_{k>=1} c_k z^k. As z -> 0
+        # its relative error grows as eps/z, that of 1 - t as eps/z^2
+        # (1e-7 at z = 1e-4 for nu = 3/2). Each term is the one before
+        # times z c_{k+1}/c_k, so no power of z is formed: every term is
+        # at most t <= 1
+        m = int(m)
+        term, out = np.exp(-z), -np.expm1(-z)
+        for k in range(m):
+            term = term * z * (2.0 * (m - k) / ((k + 1) * (2 * m - k)))
+            out -= term
+    elif nu > _MATERN_DEBYE_NU:
+        out = _matern_debye(nu, z)
+    else:
+        from scipy import special as sc
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = 2.0 ** (1.0 - nu) / sc.gamma(nu) * z**nu * sc.kv(nu, z)
+        # kv underflows to 0 for large z: t -> 0, f -> 1, which is the limit
+        out = 1.0 - np.where(np.isfinite(t), t, 0.0)
     small = z < 1e-4
     if small.any():
         zs = z[small]
@@ -209,32 +232,6 @@ def _matern_body(x: np.ndarray, p: dict) -> np.ndarray:
                 ratio = 0.0
             lead = ratio * (zs / 2.0) ** (2.0 * nu)
             out[small] = lead - zs**2 / (4.0 * (1.0 - nu))
-    if (~small).any():
-        zl = z[~small]
-        if m == int(m) and m <= _MATERN_TERMS_MAX:
-            # nu = m + 1/2: 2^(1-nu)/Gamma(nu) z^nu K_nu(z) = e^(-z) sum_{k<=m}
-            # c_k z^k with c_k = m! (2m-k)! 2^k / ((2m)! k! (m-k)!), so c_0 =
-            # c_1 = 1 and f = -expm1(-z) - e^(-z) sum_{k>=1} c_k z^k. As z -> 0
-            # its relative error grows as eps/z, that of 1 - t as eps/z^2
-            # (1e-7 at z = 1e-4 for nu = 3/2). Each term is the one before
-            # times z c_{k+1}/c_k, so no power of z is formed: every term is
-            # at most t <= 1
-            m = int(m)
-            term, f = np.exp(-zl), -np.expm1(-zl)
-            for k in range(m):
-                term = term * zl * (2.0 * (m - k) / ((k + 1) * (2 * m - k)))
-                f -= term
-            out[~small] = f
-        elif nu > _MATERN_DEBYE_NU:
-            out[~small] = _matern_debye(nu, zl)
-        else:
-            from scipy import special as sc
-
-            with np.errstate(over="ignore", invalid="ignore"):
-                t = 2.0 ** (1.0 - nu) / sc.gamma(nu) * zl**nu * sc.kv(nu, zl)
-            # kv underflows to 0 for large z: t -> 0, f -> 1, which is the limit
-            t = np.where(np.isfinite(t), t, 0.0)
-            out[~small] = 1.0 - t
     return out
 
 
@@ -247,16 +244,9 @@ def _log1p_body(x: np.ndarray, p: dict) -> np.ndarray:
 
 def _log_over_gap_body(x: np.ndarray, p: dict) -> np.ndarray:
     a = p["a"]
-    y = x / a
-    out = np.empty_like(y)
-    tiny = y < 1e-4
-    if tiny.any():
-        t = y[tiny]
-        out[tiny] = (t / 2.0 - t**2 / 3.0 + t**3 / 4.0 - t**4 / 5.0) / a
-    if (~tiny).any():
-        t = y[~tiny]
-        out[~tiny] = (1.0 - np.log1p(t) / t) / a
-    return out
+    t = x / a
+    return np.where(t < 1e-4, (t / 2.0 - t**2 / 3.0 + t**3 / 4.0 - t**4 / 5.0) / a,
+                    (1.0 - np.log1p(t) / t) / a)
 
 
 # ----------------------------------------------------------------------

@@ -245,13 +245,14 @@ def kernel_matrix(kernel, pts: PointSet) -> np.ndarray:
 
     A radial model (Variogram or StationaryCovariance) is even by
     construction, so it is evaluated on the upper triangle of site pairs
-    only, by row blocks, without the (n, n, d) lag tensor. Any other
-    callable is evaluated on pts.lags(), both orientations of every pair.
+    only, by row blocks, without the (n, n, d) lag tensor; its matrix has
+    the right shape by construction, and evaluate gated every entry. Any
+    other callable is evaluated on pts.lags(), both orientations of every
+    pair, and its result is checked for shape and finite values.
     """
     if _radial(kernel):
-        vals = _radial_matrix(kernel, pts)
-    else:
-        vals = np.asarray(kernel(pts.lags()), dtype=float)
+        return _radial_matrix(kernel, pts)
+    vals = np.asarray(kernel(pts.lags()), dtype=float)
     if vals.shape != (pts.n, pts.n):
         raise ParameterError(
             f"kernel returned shape {vals.shape}, expected {(pts.n, pts.n)}"

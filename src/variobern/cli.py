@@ -196,7 +196,7 @@ def cmd_catalog(args) -> tuple[int, dict, list[str]]:
 # ----------------------------------------------------------------------
 # validate
 
-def _eventual_constancy(model, sites, tol: float, claimed: bool):
+def _eventual_constancy(model, pts, tol: float, claimed: bool):
     r = models._finite_support(model, "eventual_constancy")
     gamma = models.variogram_from_covariance(model)
     # only squared_norm certificates are dimension-free; a spherical or
@@ -208,38 +208,44 @@ def _eventual_constancy(model, sites, tol: float, claimed: bool):
         all_d_certified=all_d)
 
 
-# check name -> runner(model, sites, tol, claimed), where sites() returns the
-# --points set; each runner looks its oracle up in checks when it runs, so a
-# wrapper set on the checks module later is the one called
+# check name -> runner(model, pts, tol, claimed), where pts is the --points
+# set; each runner looks its oracle up in checks when it runs, so a wrapper
+# set on the checks module later is the one called
 _CHECKS = {
-    "cnd": lambda m, sites, tol, _: checks.cnd_check(m, sites(), tol),
-    "pd": lambda m, sites, tol, _: checks.pd_check(m, sites(), tol),
-    "axioms": lambda m, sites, tol, _: checks.variogram_axioms(m, sites(), tol),
-    "sqrt_subadditivity": lambda m, sites, tol, _: checks.sqrt_subadditivity_check(
-        m, sites(), tol),
-    "cm": lambda m, sites, tol, _: checks.cm_check(m.profile, np.logspace(-2, 2, 33), tol=tol),
-    "bernstein": lambda m, sites, tol, _: checks.bernstein_check(
+    "cnd": lambda m, pts, tol, _: checks.cnd_check(m, pts, tol),
+    "pd": lambda m, pts, tol, _: checks.pd_check(m, pts, tol),
+    "axioms": lambda m, pts, tol, _: checks.variogram_axioms(m, pts, tol),
+    "sqrt_subadditivity": lambda m, pts, tol, _: checks.sqrt_subadditivity_check(
+        m, pts, tol),
+    "cm": lambda m, pts, tol, _: checks.cm_check(m.profile, np.logspace(-2, 2, 33), tol=tol),
+    "bernstein": lambda m, pts, tol, _: checks.bernstein_check(
         m.profile, np.logspace(-2, 2, 33), tol=tol),
-    "polya": lambda m, sites, tol, _: checks.polya_check(
+    "polya": lambda m, pts, tol, _: checks.polya_check(
         lambda t: m.norm_profile(np.abs(t)), np.linspace(0.05, 8.0, 64), tol=tol),
     # the shape theorem constrains the squared-radius profile
-    "profile_shape": lambda m, sites, tol, _: checks.profile_shape_check(
+    "profile_shape": lambda m, pts, tol, _: checks.profile_shape_check(
         lambda x: m.norm_profile(np.sqrt(x)), np.linspace(0.0, 8.0, 65), tol=tol),
     "eventual_constancy": _eventual_constancy,
 }
+# the checks whose runner reads the --points sites
+_SITE_CHECKS = frozenset({"cnd", "pd", "axioms", "sqrt_subadditivity"})
 
 
-def _run_check(name: str, model, pts, tol: float, claimed: bool):
-    if name not in _CHECKS:
-        raise VarioBernError(
-            f"unknown check '{name}'; available: {', '.join(_CHECKS)}")
-
-    def sites():
-        if pts is None:
+def _selected_checks(names: str | None, model, pts) -> list[str]:
+    """The checks --checks names (without it, pd for a covariance and axioms
+    otherwise), refused as a whole before any oracle runs if they are none,
+    hold an unknown name, or hold a site check and there is no --points."""
+    selected = ([c.strip() for c in names.split(",") if c.strip()] if names else
+                ["pd" if isinstance(model, models.StationaryCovariance) else "axioms"])
+    available = f"available: {', '.join(_CHECKS)}"
+    if not selected:
+        raise VarioBernError(f"--checks names no check; {available}")
+    for name in selected:
+        if name not in _CHECKS:
+            raise VarioBernError(f"unknown check '{name}'; {available}")
+        if name in _SITE_CHECKS and pts is None:
             raise VarioBernError(f"check '{name}' needs --points")
-        return pts
-
-    return _CHECKS[name](model, sites, tol, claimed)
+    return selected
 
 
 def cmd_validate(args) -> tuple[int, dict, dict]:
@@ -247,15 +253,10 @@ def cmd_validate(args) -> tuple[int, dict, dict]:
     model = models.model_from_json(doc)
     claimed = doc.get("certified") is True
     pts = read_points_csv(args.points) if args.points else None
-    if args.checks:
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
-    elif isinstance(model, models.StationaryCovariance):
-        selected = ["pd"]
-    else:
-        selected = ["axioms"]
+    selected = _selected_checks(args.checks, model, pts)
     config = {"model": models.model_to_json(model), "points": args.points,
               "checks": selected, "tol": args.tol}
-    reports = [_run_check(name, model, pts, args.tol, claimed) for name in selected]
+    reports = [_CHECKS[name](model, pts, args.tol, claimed) for name in selected]
     verdict = checks.PermissibilityReport(
         tuple(rec for rep in reports for rec in rep.checks)).verdict
     code = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_ERROR}[verdict]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import FunctionExpr
-from .errors import ConstructionError
+from .errors import ConstructionError, ParameterError
 from .models import Variogram, make_variogram
 from .points import PointSet, write_points_csv
 
@@ -90,7 +90,8 @@ def shift_pair(gamma: Variogram, eta) -> ShiftKernelPair:
 
 @dataclass(frozen=True)
 class NonstationaryKernel:
-    """K(xi1, xi2) = g(|xi1|) + g(|xi2|) - g(|xi1 - xi2|) with g(0) = 0."""
+    """K(xi1, xi2) = g(|xi1|) + g(|xi2|) - g(|xi1 - xi2|) with g(0) = 0, at
+    (..., d) points; any other trailing dimension is a ParameterError."""
 
     g: object  # evaluable on r >= 0
     d: int
@@ -100,8 +101,10 @@ class NonstationaryKernel:
         return np.asarray(self.g(r), dtype=float)
 
     def __call__(self, xi1, xi2):
-        xi1 = np.asarray(xi1, dtype=float)
-        xi2 = np.asarray(xi2, dtype=float)
+        xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+        if xi1.shape[-1:] != (self.d,) or xi2.shape[-1:] != (self.d,):
+            raise ParameterError(f"points must have trailing dimension {self.d}, "
+                                 f"got shapes {xi1.shape} and {xi2.shape}")
         return self._radial(xi1) + self._radial(xi2) - self._radial(xi1 - xi2)
 
     def gram(self, pts: PointSet) -> np.ndarray:

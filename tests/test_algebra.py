@@ -171,7 +171,7 @@ def test_matern_of_orders_that_are_not_half_integers(nu):
 
 
 # ----------------------------------------------------------------------
-# the atom fast path: an input with no 0 and no inf skips the endpoint branch
+# a leading 0 in an atom's input changes none of its other values
 
 FAST_X = np.concatenate([np.geomspace(1e-12, 1e5, 120),
                          np.random.default_rng(3).uniform(0.0, 4.0, 80) + 1e-3])
@@ -220,6 +220,74 @@ def test_complex_fast_path_keeps_the_endpoint_branch_bits(name):
     fast, masked = _fast_and_masked(f, z)
     assert np.array_equal(fast, masked)
     assert np.array_equal(vb.evaluate_complex(f, z), fast)
+
+
+# ----------------------------------------------------------------------
+# one pass per atom: the body sees the whole array, and the limits overwrite
+# its entries at 0 and inf
+
+# both sides of every regime switch: matern's series below z = 1e-4, the
+# log_over_gap series below x/a = 1e-4, the asymptotic gamma_tail series from
+# a x = 50 (a/x = 50 for gamma_tail_inv)
+SWITCH_X = np.concatenate([np.geomspace(1e-14, 1e6, 301),
+                           (1e-4 / 1.3) ** 2 * np.array([0.5, 0.999, 1.001, 2.0]),
+                           np.array([0.99e-4, 1e-4, 1.01e-4]),
+                           np.array([49.0, 49.999, 50.0, 50.001, 51.0])])
+
+
+def _one_pass_samples():
+    out = [(name, _sample_params(spec)) for name, spec in REGISTRY.items()]
+    return out + [("matern", {"alpha": 1.3, "nu": nu})
+                  for nu in (0.5, 1.0, 1.2, 2.0, 20.3, 60.3)] + [
+        ("log_over_gap", {"a": a}) for a in (0.01, 1.0, 30.0)] + [
+        ("gamma_tail", {"a": a, "nu": 0.3}) for a in (0.1, 1.0, 30.0)] + [
+        ("gamma_tail_inv", {"a": a, "nu": 0.7}) for a in (0.1, 30.0)]
+
+
+@pytest.mark.parametrize("name,params", _one_pass_samples())
+def test_interior_values_do_not_depend_on_limits_in_the_same_array(name, params):
+    e, spec = vb.catalog(name, params), REGISTRY[name]
+    p, n = e.params_dict, SWITCH_X.size
+    with np.errstate(all="ignore"):
+        alone = vb.algebra._ev(e, SWITCH_X)
+        for lead, tail in (([0.0], []), ([], [np.inf]), ([0.0, np.inf], [np.inf, 0.0])):
+            got = vb.algebra._ev(e, np.concatenate([lead, SWITCH_X, tail]))
+            k = len(lead)
+            assert np.array_equal(got[k:k + n], alone, equal_nan=True)
+            limits = [spec.zero(p) if v == 0.0 else spec.inf(p) for v in lead + tail]
+            assert np.array_equal(np.concatenate([got[:k], got[k + n:]]), limits,
+                                  equal_nan=True)
+
+
+@pytest.mark.parametrize("name,params", _one_pass_samples())
+def test_no_body_returns_its_input_or_a_view_of_it(name, params):
+    """The limits are written into the body's result, so a body that handed
+    back its argument would overwrite the caller's array."""
+    spec = REGISTRY[name]
+    p = vb.catalog(name, params).params_dict
+    xs = [np.concatenate([[0.0], SWITCH_X, [np.inf]])]
+    if name in COMPLEX_ATOMS:
+        xs.append(np.concatenate([[0j], 1j * SWITCH_X, [complex(np.inf, 0.0)]]))
+    for x in xs:
+        with np.errstate(all="ignore"):
+            out = spec.body(x, p)
+        assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_ATOMS))
+def test_complex_atoms_take_their_limits_at_0_and_inf_without_a_warning(name):
+    spec = REGISTRY[name]
+    f = vb.catalog(name, _sample_params(spec))
+    z = np.array([0j, 1.5j, complex(np.inf, 0.0), 0.5 + 2.0j, 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = vb.evaluate_complex(f, z)
+        at_zero = vb.evaluate_complex(f, 0j)
+    p = f.params_dict
+    assert np.array_equal(got[[0, 4]], [spec.zero(p)] * 2)
+    assert at_zero == spec.zero(p)
+    assert got[2] == spec.inf(p)
+    assert np.array_equal(got[[1, 3]], vb.evaluate_complex(f, z[[1, 3]]))
 
 
 def test_clamp_roundoff_contract():

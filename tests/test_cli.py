@@ -102,6 +102,21 @@ def test_validate_point_check_requires_points(capsys):
     assert "--points" in err
 
 
+@pytest.mark.parametrize("selection,message", [
+    ("cm,magic", "unknown check 'magic'"),
+    ("cm,cnd", "check 'cnd' needs --points"),
+    ("cm,,profile_shape,magic,cnd", "unknown check 'magic'"),
+])
+def test_validate_refuses_its_selection_before_any_oracle_runs(
+        capsys, monkeypatch, selection, message):
+    ran = []
+    for name in ("cm_check", "profile_shape_check", "cnd_check"):
+        monkeypatch.setattr(vb.checks, name, lambda *a, name=name, **kw: ran.append(name))
+    code, out, err = run(capsys, "validate", "--model", EXP_COV, "--checks", selection)
+    assert (code, out, ran) == (2, "", [])
+    assert message in err
+
+
 def test_validate_profile_checks_run_without_points(capsys):
     # cm applies to the covariance profile, profile_shape to a variogram's
     code, out, _ = run(capsys, "validate", "--model", EXP_COV,
@@ -706,11 +721,15 @@ def test_flags_exist_only_where_they_are_read(capsys, tmp_path, command, flag, v
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_validate_with_no_checks_passes(capsys):
-    code, out, _ = run(capsys, "validate", "--model", CUBIC, "--checks", ",")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["verdict"] == "pass" and payload["reports"] == []
+def test_validate_with_no_checks_is_refused(capsys):
+    """A selection that names no check would pass vacuously, even for a
+    model that is no variogram."""
+    sine = json.dumps({"type": "variogram", "mode": "norm", "d": 1,
+                       "profile": {"atom": "sine", "params": {}}})
+    for model in (CUBIC, sine):
+        code, out, err = run(capsys, "validate", "--model", model, "--checks", ",")
+        assert code == 2 and out == ""
+        assert "--checks names no check; available: " in err
 
 
 def _with(model, **fields) -> str:

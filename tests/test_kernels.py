@@ -90,6 +90,19 @@ def test_nonstationary_kernel_indefinite_for_cubic(rng):
     assert w.min() < -1e-6
 
 
+def test_nonstationary_kernel_refuses_points_of_another_dimension():
+    k = vb.nonstationary_kernel(lambda r: np.asarray(r, dtype=float), d=1)
+    with pytest.raises(ParameterError, match="trailing dimension 1"):
+        k.gram(vb.PointSet(np.zeros((4, 3))))
+    with pytest.raises(ParameterError, match="trailing dimension 1"):
+        k(np.ones((2, 5)), np.ones((2, 5)))
+    with pytest.raises(ParameterError, match="trailing dimension 1"):
+        k(np.ones((2, 1)), np.ones((2, 2)))
+    with pytest.raises(ParameterError, match="trailing dimension 1"):
+        k(1.0, 2.0)
+    assert k(np.ones((2, 1)), np.zeros((2, 1))).shape == (2,)
+
+
 def test_nonstationary_kernel_origin_gate():
     with pytest.raises(ConstructionError, match=r"g\(0\) = 0"):
         vb.nonstationary_kernel(lambda r: np.asarray(r) + 1.0, d=1)

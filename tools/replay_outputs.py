@@ -17,10 +17,14 @@ recipe, and the two refusals of a model without compact support:
 eventual_constancy and a sparse krige on a variogram), two dense krige jobs
 (the Wendland covariance, which the benchmark krige-solves only sparsely,
 and the power(a=1) variogram |xi|^2, whose kriging system is singular on
-more than d + 2 sites) and three malformed commands (krige without
---points, and construct with a misspelt recipe arg and with a misspelt
-top-level recipe key) run once on the fixed inputs of
-``EXTRA`` and land the same way in ``DIR/extra/``. Replaying two
+more than d + 2 sites), six d = 1 grids that hold 0 and points on both
+sides of an atom's switch between two formulas (Matern of orders 1, 1.2, 2
+and 60.3 across its small-z series, log_over_gap across its series and
+gamma_tail across its asymptotic series) and four malformed commands
+(krige without --points, construct with a misspelt recipe arg and with a
+misspelt top-level recipe key, and validate with a --checks that names no
+check) run once on the fixed inputs of ``EXTRA`` and land the same way in
+``DIR/extra/``. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
 byte a change moved. Because the work directory is shared, replays run one
 after the other: a replay holds a lock on it and refuses to start while
@@ -97,6 +101,26 @@ WENDLAND = json.dumps({"type": "covariance", "mode": "norm", "d": 2,
                                    "params": {"r": 1.5, "l": 2}}})
 SQUARED_NORM = json.dumps({"type": "variogram", "mode": "squared_norm", "d": 2,
                            "profile": {"atom": "power", "params": {"a": 1.0}}})
+
+
+def _line(atom: str, params: dict, mode: str) -> str:
+    """A d = 1 variogram of one atom, whose grid lags reach it unscaled."""
+    return json.dumps({"type": "variogram", "mode": mode, "d": 1,
+                       "profile": {"atom": atom, "params": params}})
+
+
+# lag grids across each switch: Matern's series below z = alpha |h| = 1e-4,
+# log_over_gap's below x/a = h^2 = 1e-4, gamma_tail's asymptotic series from
+# a x = |h| = 50
+SWITCH_GRIDS = {
+    **{f"grid_matern_{nu}": (_line("matern", {"alpha": 1.0, "nu": nu},
+                                   "squared_norm"), "0:2e-4:9")
+       for nu in (1.0, 1.2, 2.0, 60.3)},
+    "grid_log_over_gap": (_line("log_over_gap", {"a": 1.0}, "squared_norm"),
+                          "0:0.02:9"),
+    "grid_gamma_tail": (_line("gamma_tail", {"a": 1.0, "nu": 0.5}, "norm"),
+                        "0:100:21"),
+}
 SITE_SETS = {
     "SITES": "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,0.5\n",
     "LATTICE": "x1,x2,value\n" + "".join(
@@ -129,6 +153,10 @@ EXTRA = {
         {"constructor": "spherical", "args": {"rnage": 2.0, "d": 2}})]),
     "construct_misspelt_key": (".json", ["construct", "--model", json.dumps(
         {"constructor": "spherical", "arg": {"range": 2.0, "d": 2}})]),
+    "validate_no_checks": (".json", ["validate", "--model", SPHERICAL,
+                                     "--checks", ","]),
+    **{job: (".csv", ["grid", "--model", model, "--grid", grid])
+       for job, (model, grid) in SWITCH_GRIDS.items()},
 }
 
 
