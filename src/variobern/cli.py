@@ -14,6 +14,7 @@ Exit status: 0 success (validate: all checks pass), 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -471,9 +472,13 @@ def _join_negative_grid(argv: list[str]) -> list[str]:
     return out
 
 
+# argparse keeps no state between parse_args calls, so in-process callers of
+# main (tests, library users, replays) share one parser, built on first use
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_grid(
+    args = _parser().parse_args(_join_negative_grid(
         sys.argv[1:] if argv is None else list(argv)))
     try:
         code, config, body = args.func(args)

@@ -20,6 +20,9 @@ agree to solver accuracy. Each result carries the kriging variance
 (Cressie, *Statistics for Spatial Data*, 1993, section 3.2) and the
 residual of its bordered system, max(|K w + mu - k0|, |1'w - 1|); a
 residual above 1e-6 * max(1, max|k0|) raises DegenerateSystemError.
+Duplicate sites, which make K singular, are refused before assembly: one
+lexicographic sort of the sites puts equal ones side by side, and adjacent
+rows are compared, so -0.0 and 0.0 are the same coordinate.
 
 The sparse path imports scipy (neighbour search, sparse storage, SuperLU)
 inside the functions that use it, and the dense path needs only numpy, so a
@@ -154,7 +157,8 @@ def splu(*args, **kw):
 def _check_sites(pts: PointSet) -> None:
     if pts.values is None:
         raise ParameterError("kriging needs observed values at the sites")
-    if len(np.unique(pts.coords, axis=0)) < pts.n:
+    c = pts.coords[np.lexsort(pts.coords.T)]
+    if (c[1:] == c[:-1]).all(axis=1).any():
         raise DegenerateSystemError("duplicate sites make the system singular")
 
 

@@ -1,16 +1,32 @@
 """Finite point sets in R^d and their CSV interchange format.
 
-The on-disk format is a plain CSV with header ``x1,...,xd`` and an optional
-trailing ``value`` column. Parsing is strict: a malformed file is reported
-with the offending row number and column name.
+A site file is a comma-separated table read by the csv module's rules
+(``"`` quotes a cell; a row ends at LF, CRLF or a lone CR). Rows whose
+cells are all blank are skipped wherever they are. The first other row is
+the header ``x1,...,xd``, with an optional trailing ``value`` column, its
+cells stripped of whitespace. Each later row holds one number per header
+column, read as ``float(cell.strip())``: surrounding whitespace, quotes and
+underscores between digits (``3_0`` is 30) are accepted, and every value
+must be finite. A bad file raises ParameterError for the first of these
+faults: no header row; a header of another form; then, row by row in file
+order, a row of the wrong length, and in that row, column by column, a cell
+that is not a number or not finite (each with its line in the file, blank
+lines counted, and the column name); and last, a header without data rows.
+Every message but the last names the file.
+
+The common file, plain numbers one row per line, is parsed by numpy's C
+reader (``np.loadtxt``), which gives the same doubles as ``float()``.
+Only a file it refuses, or one with a non-finite value, is read cell by
+cell with the csv module and ``float()``, which reads the other forms and
+finds the first fault.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -75,14 +91,15 @@ def _expected_header(d: int, with_values: bool) -> list[str]:
 
 
 def read_points_csv(path) -> PointSet:
-    """Read a point set; header must be x1,...,xd with optional value column."""
+    """Read a site file, in the format of the module docstring."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        # each row with its line in the file, blank lines counted, for errors
-        rows = [(reader.line_num, r) for r in reader if "".join(r).strip()]
-    if not rows:
+        header = next((r for r in reader if "".join(r).strip()), None)
+        header_line = reader.line_num
+        body = fh.read()
+    if header is None:
         raise ParameterError(f"{path}: file is empty")
-    header = [c.strip() for c in rows[0][1]]
+    header = [c.strip() for c in header]
     with_values = header[-1] == "value"
     d = len(header) - 1 if with_values else len(header)
     if d < 1 or header != _expected_header(d, with_values):
@@ -90,24 +107,31 @@ def read_points_csv(path) -> PointSet:
             f"{path}: header must be x1,...,xd with an optional trailing "
             f"'value' column, got {header}"
         )
-    body = rows[1:]
-    try:
-        # a ragged table fails in np.array, rows of one wrong length in reshape
-        data = np.array([[float(c.strip()) for c in row] for _, row in body]
-                        ).reshape(len(body), len(header))
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        _raise_first_bad_cell(path, header, body)
+    data = None
+    if body.strip():  # loadtxt warns on a body without rows
+        try:
+            # comments=None: a '#' row stays an error, as for float()
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        data = _parse_rows(path, header, body, header_line)
     if with_values:
         return PointSet(data[:, :d], data[:, d])
     return PointSet(data)
 
 
-def _raise_first_bad_cell(path, header: list[str], rows: list) -> NoReturn:
-    """Raise ParameterError for the first of the (line, cells) rows of the
-    wrong length, or cell that is not a finite number, in reading order."""
-    for i, row in rows:
+def _parse_rows(path, header: list[str], body: str, first_line: int) -> np.ndarray:
+    """The (n, len(header)) table of body's non-blank csv rows, each cell read
+    by float(). The first row of the wrong length, or cell that is not a
+    finite number, in reading order raises ParameterError with its line in
+    the file, where body starts after line first_line."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    data = []
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        i = first_line + reader.line_num
         cells = [c.strip() for c in row]
         if len(cells) != len(header):
             raise ParameterError(
@@ -125,7 +149,8 @@ def _raise_first_bad_cell(path, header: list[str], rows: list) -> NoReturn:
                 raise ParameterError(
                     f"{path}: row {i}, column '{name}': value must be finite"
                 )
-    raise AssertionError("no bad cell in a table that failed to parse")
+            data.append(v)
+    return np.array(data, dtype=float).reshape(-1, len(header))
 
 
 def write_points_csv(ps: PointSet, path) -> None:

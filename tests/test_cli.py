@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -940,3 +941,50 @@ def test_cli_input_errors_name_the_input(call, message):
     with pytest.raises(VarioBernError) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+
+def _command_sequence(tmp_path, capsys) -> list:
+    """Exit code, stderr and output bytes of krige, a usage error, simulate,
+    validate and krige again, each one in-process main call."""
+    rng = np.random.default_rng(5)
+    sites = write_sites(tmp_path / "sites.csv", rng.uniform(0, 3, size=(12, 1)),
+                        rng.normal(size=12))
+    out = str(tmp_path / "out.txt")
+    calls = [
+        ["krige", "--model", EXP_COV, "--points", sites, "--grid", "0:3:4", "--out", out],
+        ["krige", "--model", EXP_COV, "--points", sites, "--seed", "3", "--out", out],
+        ["simulate", "--model", EXP_COV, "--points", sites, "--replicates", "20",
+         "--seed", "4", "--grid", "3", "--out", out],
+        ["validate", "--model", CUBIC, "--points", sites, "--checks", "axioms",
+         "--out", out],
+        ["krige", "--model", EXP_COV, "--points", sites, "--grid", "-1:2:3",
+         "--out", out],
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = None
+        if os.path.exists(out):
+            with open(out, "rb") as fh:
+                written = fh.read()
+            os.remove(out)
+        seen.append((code, capsys.readouterr().err, written))
+    return seen
+
+
+def test_main_answers_as_a_fresh_parser_does_call_after_call(tmp_path, capsys,
+                                                              monkeypatch):
+    shared = _command_sequence(tmp_path, capsys)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _command_sequence(tmp_path, capsys)
+    assert [c for c, _, _ in shared] == [0, 2, 0, 1, 0]
+    assert "unrecognized arguments: --seed 3" in shared[1][1]
+    assert shared[1][2] is None
+    assert shared == fresh

@@ -444,6 +444,43 @@ def test_kriging_duplicate_sites_detected_in_any_order():
     assert np.isfinite(vb.ordinary_kriging(exp2, near, [0.5, 0.5], mode="dense").prediction)
 
 
+def _duplicate_cases():
+    rng = np.random.default_rng(11)
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+    far = grid + rng.uniform(-0.3, 0.3, size=grid.shape)
+    far[140] = far[3]  # 137 rows apart in file order
+    # the duplicate pair shares each single coordinate with a site between them
+    cube = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.5],
+                     [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    return {"negative-zero": np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]]),
+            "far-apart": far, "3d": cube}
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+@pytest.mark.parametrize("case", list(_duplicate_cases()))
+def test_duplicate_sites_refused_in_both_modes(mode, case):
+    coords = _duplicate_cases()[case]
+    d = coords.shape[1]
+    pts = obs(coords, np.arange(len(coords), dtype=float))
+    with pytest.raises(DegenerateSystemError) as info:
+        vb.krige_many(vb.wendland(1.5, 2, d=d), pts, coords[:1] + 0.25, mode=mode)
+    assert str(info.value) == "duplicate sites make the system singular"
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sites_that_differ_in_one_coordinate_are_distinct(mode, d):
+    """Rows equal in all but their last, or all but their first, coordinate."""
+    base = np.zeros((3, d))
+    last, first = base.copy(), base.copy()
+    last[:, -1] = first[:, 0] = [0.0, 0.5, 1.0]
+    coords = np.vstack([last, first[1:]])
+    pts = obs(coords, np.arange(len(coords), dtype=float))
+    [res] = vb.krige_many(vb.wendland(1.5, 2, d=d), pts, np.full((1, d), 0.2),
+                          mode=mode)
+    assert np.isfinite(res.prediction)
+
+
 # ----------------------------------------------------------------------
 # batched kriging, variance and residual
 

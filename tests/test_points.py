@@ -1,5 +1,8 @@
 """Point-set container and CSV round trips."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,129 @@ def test_csv_header_only_has_no_points(tmp_path):
     path.write_text("x1,x2\n")
     with pytest.raises(ParameterError, match="n, d >= 1"):
         vb.read_points_csv(path)
+
+
+# ----------------------------------------------------------------------
+# the site reader: numpy's C reader for the common file, csv and float()
+# cell by cell for every other form and for the first fault
+
+def _reference_rows(text: str) -> list[list[float]]:
+    """The data rows of a site file by csv and per-cell float()."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if "".join(r).strip()]
+    return [[float(c.strip()) for c in row] for row in rows[1:]]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BLANK_LINES = st.sampled_from(["", "   ", "\t", ",", " , ", ",,,", '""'])
+
+
+@st.composite
+def _site_files(draw):
+    """(text, d, with_values, values) of a site file written with repr, its
+    cells padded or quoted, its rows ending in \n or \r\n, blank rows
+    anywhere."""
+    d = draw(st.integers(1, 3))
+    with_values = draw(st.booleans())
+    width = d + with_values
+    values = draw(st.lists(st.lists(_FINITE, min_size=width, max_size=width),
+                           min_size=1, max_size=12))
+    decorate = draw(st.booleans())  # else a plain file, numpy's common case
+    lines = [",".join(f"x{i + 1}" for i in range(d)) + (",value" if with_values else "")]
+    for row in values:
+        cells = []
+        for v in row:
+            cell = repr(v)
+            if decorate:
+                cell = draw(st.sampled_from(["", " ", "\t "])) + cell + draw(
+                    st.sampled_from(["", " ", " \t"]))
+                if draw(st.booleans()):
+                    cell = f'"{cell}"'
+            cells.append(cell)
+        lines.append(",".join(cells))
+    if decorate:
+        for _ in range(draw(st.integers(0, 4))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK_LINES))
+        ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    else:
+        ends = ["\n"] * len(lines)
+    return "".join(l + e for l, e in zip(lines, ends)), d, with_values, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(_site_files())
+def test_site_file_reads_bitwise_as_float_per_cell(tmp_path_factory, case):
+    text, d, with_values, values = case
+    path = tmp_path_factory.mktemp("sites") / "sites.csv"
+    path.write_bytes(text.encode())
+    want = np.array(_reference_rows(text))
+    assert want.tobytes() == np.array(values).tobytes()
+    ps = vb.read_points_csv(path)
+    assert ps.coords.tobytes() == np.ascontiguousarray(want[:, :d]).tobytes()
+    if with_values:
+        assert ps.values.tobytes() == want[:, d].tobytes()
+    else:
+        assert ps.values is None
+
+
+@pytest.mark.parametrize("text, coords, values", [
+    ('x1,value\n"1.5"," 2"\n3,4\n', [[1.5], [3.0]], [2.0, 4.0]),
+    ("x1,value\n3_0,1_000.5\n1,2\n", [[30.0], [1.0]], [1000.5, 2.0]),
+    ("x1,value\r\n1,2\r\n\r\n3,4\r\n", [[1.0], [3.0]], [2.0, 4.0]),
+    ("x1,value\r1,2\r3,4\r", [[1.0], [3.0]], [2.0, 4.0]),
+    ("x1,value\n1,2\n\t\n,\n3,4\n", [[1.0], [3.0]], [2.0, 4.0]),
+], ids=["quoted", "underscore", "crlf", "cr", "whitespace-and-comma-rows"])
+def test_site_file_forms_numpy_refuses_still_load(tmp_path, text, coords, values):
+    path = tmp_path / "sites.csv"
+    path.write_bytes(text.encode())
+    ps = vb.read_points_csv(path)
+    assert np.array_equal(ps.coords, coords)
+    assert np.array_equal(ps.values, values)
+
+
+def test_a_plain_site_file_is_not_read_cell_by_cell(tmp_path, monkeypatch):
+    """The common file stays on numpy's C reader."""
+    def refuse(*args):
+        raise AssertionError("a plain site file was read cell by cell")
+
+    monkeypatch.setattr(vb.points, "_parse_rows", refuse)
+    rng = np.random.default_rng(3)
+    ps = vb.PointSet(rng.normal(size=(50, 2)), rng.normal(size=50))
+    path = tmp_path / "sites.csv"
+    vb.write_points_csv(ps, path)
+    back = vb.read_points_csv(path)
+    assert np.array_equal(back.coords, ps.coords)
+    assert np.array_equal(back.values, ps.values)
+
+
+_LONG = "x1,x2\n" + "".join(f"{i},{i}.5\n" for i in range(2000))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2\n1,2\n3\n", "{path}: row 3 has 1 fields, expected 2"),
+    ("x1,x2\n1,2,3\n4,5,6\n", "{path}: row 2 has 3 fields, expected 2"),
+    (_LONG + "1,2,3\n", "{path}: row 2002 has 3 fields, expected 2"),
+    ("x1,x2\n1,2\n3,abc\n", "{path}: row 3, column 'x2': could not parse 'abc' as a number"),
+    (_LONG + "#1,2\n", "{path}: row 2002, column 'x1': could not parse '#1' as a number"),
+    ("x1,value\n1,nan\n", "{path}: row 2, column 'value': value must be finite"),
+    (_LONG + "inf,2\n", "{path}: row 2002, column 'x1': value must be finite"),
+    ("x1,x2\n1,-inf\n", "{path}: row 2, column 'x2': value must be finite"),
+    ("x,y\n1,2\n", "{path}: header must be x1,...,xd with an optional trailing "
+                     "'value' column, got ['x', 'y']"),
+    ("value\n1\n", "{path}: header must be x1,...,xd with an optional trailing "
+                     "'value' column, got ['value']"),
+    ("\n , \n", "{path}: file is empty"),
+    ("x1,x2\n", "coords must be an (n, d) array with n, d >= 1"),
+    ("x1,x2,value\r\n\r\n  \n,,\n", "coords must be an (n, d) array with n, d >= 1"),
+], ids=["ragged", "all-long", "late-ragged", "bad-cell", "late-comment", "nan",
+        "late-inf", "minus-inf", "bad-header", "value-only-header", "empty",
+        "header-only", "header-and-blank-rows"])
+def test_site_file_error_texts_without_a_warning(tmp_path, text, message):
+    path = tmp_path / "sites.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParameterError) as info:
+        vb.read_points_csv(path)
+    assert str(info.value) == message.format(path=path)
 
 
 def test_sample_point_sets_deterministic():

@@ -24,7 +24,10 @@ gamma_tail across its asymptotic series) and four malformed commands
 (krige without --points, construct with a misspelt recipe arg and with a
 misspelt top-level recipe key, and validate with a --checks that names no
 check) run once on the fixed inputs of ``EXTRA`` and land the same way in
-``DIR/extra/``. Replaying two
+``DIR/extra/``. So do eight dense krige jobs on site files that the site
+reader reads off its common path or refuses: quoted numbers, blank rows of
+whitespace or commas, ``3_0``, CRLF endings, a header without rows, a
+ragged row, an ``inf`` cell and a ``-0.0`` duplicate of ``0.0``. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
 byte a change moved. Because the work directory is shared, replays run one
 after the other: a replay holds a lock on it and refuses to start while
@@ -92,7 +95,8 @@ def _keep(argv: list[str], out_file: str, stem: str) -> None:
 
 # the extra jobs' inputs: a spherical variogram in d = 2, which both
 # compact-support rules refuse since it is not a covariance, the two dense
-# krige models, and two site CSVs: three sites and a 4 x 4 lattice
+# krige models, and site CSVs: three sites, a 4 x 4 lattice and the reader
+# cases
 SPHERICAL = json.dumps({"type": "variogram", "mode": "norm", "d": 2,
                         "profile": {"atom": "spherical_profile",
                                     "params": {"range": 1.5}}})
@@ -121,11 +125,23 @@ SWITCH_GRIDS = {
     "grid_gamma_tail": (_line("gamma_tail", {"a": 1.0, "nu": 0.5}, "norm"),
                         "0:100:21"),
 }
+# site files off the reader's common path, read or refused
+READER_CASES = {
+    "QUOTED": 'x1,x2,value\n"0.0",0.0,1.0\n1.0,"0.0",2.0\n0.0,1.0," 0.5"\n',
+    "BLANK_ROWS": "x1,x2,value\n0.0,0.0,1.0\n   \n1.0,0.0,2.0\n,,\n , \n0.0,1.0,0.5\n",
+    "UNDERSCORE": "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,3_0\n",
+    "CRLF": "x1,x2,value\r\n0.0,0.0,1.0\r\n1.0,0.0,2.0\r\n0.0,1.0,0.5\r\n",
+    "HEADER_ONLY": "x1,x2,value\n",
+    "RAGGED": "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0\n0.0,1.0,0.5\n",
+    "INF_CELL": "x1,x2,value\n0.0,0.0,1.0\n1.0,inf,2.0\n0.0,1.0,0.5\n",
+    "NEGATIVE_ZERO": "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n-0.0,0.0,0.5\n",
+}
 SITE_SETS = {
     "SITES": "x1,x2,value\n0.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,0.5\n",
     "LATTICE": "x1,x2,value\n" + "".join(
         f"{0.5 * i},{0.5 * j},{(i * j) % 3 + 0.25 * i}\n"
         for i in range(4) for j in range(4)),
+    **READER_CASES,
 }
 # job id -> (output suffix, argv without --out; a SITE_SETS key is its CSV path)
 EXTRA = {
@@ -157,6 +173,9 @@ EXTRA = {
                                      "--checks", ","]),
     **{job: (".csv", ["grid", "--model", model, "--grid", grid])
        for job, (model, grid) in SWITCH_GRIDS.items()},
+    **{f"krige_{sites.lower()}": (".json", [
+        "krige", "--model", SPHERICAL, "--points", sites, "--grid", "0:1:2,0:1:2"])
+       for sites in READER_CASES},
 }
 
 
@@ -168,7 +187,7 @@ def replay_extra(out: str) -> int:
     paths = {}
     for name, text in SITE_SETS.items():
         paths[name] = os.path.join(base, name.lower() + ".csv")
-        with open(paths[name], "w", encoding="utf-8") as fh:
+        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     dest = os.path.join(out, "extra")
     os.makedirs(dest, exist_ok=True)
