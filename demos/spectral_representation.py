@@ -4,9 +4,10 @@ A Bernstein function f(x) = drift * x + integral (1 - e^{-xt}) m(t) dt with
 Levy density m(t) = mu[t, inf) induces the variogram
 gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds)
           = drift * xi^2 + xi integral sin(s xi) m(s) ds = -Re(i xi f(i xi)).
-A catalog atom carrying its own Levy triple is evaluated through the complex
-continuation; any other carrier by quadrature over m. The demo compares the
-two routes on the same triple.
+A spectral variogram's carrier is either a catalog atom, evaluated through
+its complex continuation, or a LevyTriple of drift and density, evaluated by
+quadrature over m. The demo compares the two routes on the same triple: the
+atom, and the triple the catalog states for it.
 """
 
 import numpy as np
@@ -44,8 +45,8 @@ print("quadrature over m against the continuation, on the same Levy triple")
 for name, params in [("log1p", {}), ("frac_linear", {"lam": 2.0}),
                      ("power", {"a": 0.5})]:
     expr = vb.catalog(name, params)
-    # an affine wrapper carrying the atom's triple has no continuation
-    quad = vb.spectral_variogram(vb.with_levy(vb.affine(expr), expr.levy))
+    # the atom's triple as a free-standing carrier has no continuation
+    quad = vb.spectral_variogram(expr.levy)
     xi = np.linspace(0.5, 8.0, 7)
     ref = vb.spectral_reference(expr, xi)
     gap = np.abs(quad(xi[:, None]) - ref).max()

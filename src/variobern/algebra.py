@@ -9,10 +9,12 @@ complete - an empty set means "unverified", never "disproved". It is the
 only tag set: nothing declares tags, and expression JSON holding a "tags" key
 is refused.
 
-A spectral node on a continued catalog atom carrying its catalog triple
-evaluates through the continuation, its triple not gated numerically: the
-catalog states it. Other carriers are gated when the node is built, and a
-call integrates each of its distinct lags once; nothing is cached.
+A node's Levy triple (``levy``) is derived like its tags: a catalog atom's
+from the catalog, None on every other node. A spectral node holds the
+carrier it evaluates: a catalog atom, through its continuation and not
+gated numerically, or a LevyTriple's drift and decreasing density (rule
+"levy"), gated when the node is built; a call integrates each distinct lag
+of such a density once, and nothing is cached.
 
 Integrals (a Levy density's moment gate, levy_eval, a spectral node whose
 carrier has no continuation) use one adaptive Gauss-Kronrod rule in numpy:
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -63,7 +65,6 @@ __all__ = [
     "fsum",
     "fprod",
     "fpow",
-    "with_levy",
     "infer_class",
     "levy_eval",
     "expr_to_json",
@@ -108,6 +109,14 @@ class LevyTriple:
                     "Levy atoms require finite location > 0 and mass >= 0"
                 )
 
+    def __repr__(self):  # compact, used in provenance strings
+        parts = [f"drift={_g(self.drift)}", f"constant={_g(self.constant)}"]
+        if self.atoms:
+            parts.append("atoms=[" + ", ".join(f"({_g(a)}, {_g(m)})" for a, m in self.atoms) + "]")
+        if self.density is not None:
+            parts.append(f"density={describe(self.density)}")
+        return f"levy({', '.join(parts)})"
+
 
 @dataclass(frozen=True)
 class FunctionExpr:
@@ -118,14 +127,15 @@ class FunctionExpr:
     params: tuple[tuple[str, float], ...] = ()
     children: tuple["FunctionExpr", ...] = ()
     alpha: float | None = None
-    levy: LevyTriple | None = None
     derived: frozenset = field(init=False, compare=False, repr=False)
+    levy: LevyTriple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # derived from the node's own fields on every construction, replace()
-        # included, so no caller can set it
+        # included, so no caller can set them
         if self.kind == "spectral":
-            _check_spectral_carrier(self.children[0])
+            _check_spectral(self)
+        object.__setattr__(self, "levy", _catalog_levy(self) if self.kind == "atom" else None)
         object.__setattr__(self, "derived", _complete(_derive(self)))
 
     @property
@@ -139,41 +149,32 @@ class FunctionExpr:
         return describe(self)
 
 
+def _g(v: float) -> str:
+    """v as :g prints it if that reads back as v, else repr(v): short, and
+    never the same for two numbers."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 def describe(e: FunctionExpr) -> str:
-    """A compact construction string; a node that carries a Levy triple
-    other than its own (see _foreign_levy) reads with_levy(node, triple)."""
-    text = _describe_node(e)
-    if _foreign_levy(e):
-        return f"with_levy({text}, {_describe_levy(e.levy)})"
-    return text
-
-
-def _describe_node(e: FunctionExpr) -> str:
+    """A compact construction string; a spectral node names its carrier,
+    a catalog atom or levy(drift=..., density=...)."""
     if e.kind == "atom":
-        inner = ", ".join(f"{k}={v:g}" for k, v in e.params)
+        inner = ", ".join(f"{k}={_g(v)}" for k, v in e.params)
         return f"{e.name}({inner})"
     if e.kind == "power":
-        return f"pow({describe(e.children[0])}, {e.alpha:g})"
+        return f"pow({describe(e.children[0])}, {_g(e.alpha)})"
     if e.kind == "affine":
         p = e.params_dict
-        return (f"affine({describe(e.children[0])}, shift={p['shift']:g}, "
-                f"scale={p['scale']:g})")
+        return (f"affine({describe(e.children[0])}, shift={_g(p['shift'])}, "
+                f"scale={_g(p['scale'])})")
+    if e.kind == "spectral" and e.name:
+        return f"spectral({_carrier(e)!r})"
     parts = ", ".join(describe(c) for c in e.children)
     head = e.kind if not e.name else f"{e.kind}[{e.name}]"
     if e.alpha is not None:
-        return f"{head}({parts}; alpha={e.alpha:g})"
+        return f"{head}({parts}; alpha={_g(e.alpha)})"
     return f"{head}({parts})"
-
-
-def _describe_levy(t: LevyTriple | None) -> str:
-    if t is None:
-        return "none"
-    parts = [f"drift={t.drift:g}", f"constant={t.constant:g}"]
-    if t.atoms:
-        parts.append("atoms=[" + ", ".join(f"({a:g}, {m:g})" for a, m in t.atoms) + "]")
-    if t.density is not None:
-        parts.append(f"density={describe(t.density)}")
-    return f"levy({', '.join(parts)})"
 
 
 # ----------------------------------------------------------------------
@@ -237,14 +238,17 @@ def _derive(e: FunctionExpr) -> frozenset:
     return frozenset(proved)
 
 
-def _node(kind, name="", params=(), children=(), alpha=None,
-          levy=None) -> FunctionExpr:
-    return FunctionExpr(kind, name, tuple(params), tuple(children), alpha,
-                        levy=levy)
+def _node(kind, name="", params=(), children=(), alpha=None) -> FunctionExpr:
+    return FunctionExpr(kind, name, tuple(params), tuple(children), alpha)
 
 
-def with_levy(e: FunctionExpr, triple: LevyTriple) -> FunctionExpr:
-    return replace(e, levy=triple)
+def _catalog_levy(e: FunctionExpr) -> LevyTriple | None:
+    """The triple the catalog states for atom e, or None."""
+    spec = REGISTRY[e.name]
+    t = None if spec.levy is None else spec.levy(e.params_dict)
+    if t is None:
+        return None
+    return LevyTriple(**{k: expr_from_json(v) if k == "density" else v for k, v in t.items()})
 
 
 def infer_class(e: FunctionExpr) -> frozenset:
@@ -271,7 +275,7 @@ def catalog(name: str, params: dict | None = None, **kw) -> FunctionExpr:
             f"unknown atom name '{name}'; see catalog_names() for the catalog"
         )
     p = validate_params(spec, {**(params or {}), **kw})
-    return _node("atom", spec.name, sorted(p.items()), levy=_build_levy(spec.name, p))
+    return _node("atom", spec.name, sorted(p.items()))
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -281,18 +285,6 @@ def catalog_names() -> tuple[str, ...]:
 def cbf_table() -> tuple[FunctionExpr, ...]:
     """The canonical twelve-member complete Bernstein table."""
     return tuple(catalog(n, dict(p)) for n, p in CBF_TABLE)
-
-
-def _build_levy(name: str, p: dict) -> LevyTriple | None:
-    """The catalog triple of atom name with parameters p, or None."""
-    spec = REGISTRY[name]
-    return None if spec.levy is None else _levy_from_json(spec.levy(p))
-
-
-def _foreign_levy(e: FunctionExpr) -> bool:
-    """Whether e carries another Levy triple than the node rebuilt from its
-    fields would: an atom's catalog triple, or none on an operation node."""
-    return e.levy != (_build_levy(e.name, e.params_dict) if e.kind == "atom" else None)
 
 
 def affine(f: FunctionExpr, shift: float = 0.0, scale: float = 1.0) -> FunctionExpr:
@@ -409,8 +401,8 @@ def _exact_limit(e: FunctionExpr, x: float) -> float | None:
             return None
         if g.kind != "spectral":
             nodes.extend(g.children)
-        elif g.children[0].levy.density is not None and (g is not e or x != 0.0):
-            nodes.append(g.children[0].levy.density)
+        elif (m := _carrier(g).density) is not None and (g is not e or x != 0.0):
+            nodes.append(m)
     try:
         return evaluate(e, x)
     except EvaluationError:
@@ -707,27 +699,36 @@ def _gated(value: np.ndarray, bound: np.ndarray, gate: float, what) -> np.ndarra
 # ----------------------------------------------------------------------
 # spectral node: gamma(h) = drift*h^2 + integral (1 - cos(s h)) mu(ds), where
 # mu has tail m(t) = mu[t, inf), the carrier's Levy density; by parts this is
-# drift*h^2 + h integral sin(s h) m(s) ds, and -Re(i h f(i h)) for continued f
+# drift*h^2 + h integral sin(s h) m(s) ds, and -Re(i h f(i h)) for a continued
+# catalog atom f
 
-@functools.lru_cache(maxsize=64)
-def _own_catalog_triple(f: FunctionExpr) -> bool:
-    """Whether f is a continued catalog atom carrying its catalog triple."""
-    return f.kind == "atom" and f.name in COMPLEX_ATOMS and not _foreign_levy(f)
+def _carrier(e: FunctionExpr) -> LevyTriple:
+    """The triple spectral node e evaluates: its catalog atom's, or its own
+    drift and density."""
+    if not e.name:
+        return e.children[0].levy
+    return LevyTriple(drift=e.params[0][1], density=e.children[0] if e.children else None)
 
 
-def _spectral(f: FunctionExpr, w: np.ndarray) -> np.ndarray:
-    """The spectral node on carrier f at lags w >= 0. At inf the cosine term
-    vanishes (Riemann-Lebesgue), leaving mu's mass m(0+); the quadrature
-    takes each distinct lag once, ascending, so a column holds one scale.
-    The carrier was gated when the node was built."""
-    drift, m = f.levy.drift, f.levy.density
+def _continued(e: FunctionExpr) -> bool:
+    """Whether spectral node e evaluates through its atom's continuation."""
+    return not e.name and e.children[0].name in COMPLEX_ATOMS
+
+
+def _spectral(e: FunctionExpr, w: np.ndarray) -> np.ndarray:
+    """Spectral node e at lags w >= 0. At inf the cosine term vanishes
+    (Riemann-Lebesgue), leaving mu's mass m(0+); the quadrature takes each
+    distinct lag once, ascending, so a column holds one scale. The carrier
+    was gated when the node was built."""
+    t = _carrier(e)
+    drift, m = t.drift, t.density
     out = np.zeros_like(w)
     inf = np.isinf(w)
     if inf.any():
         out[inf] = math.inf if drift > 0.0 else 0.0 if m is None else _ev(m, np.zeros(1))[0]
     body = (w != 0.0) & ~inf
-    if _own_catalog_triple(f):
-        out[body] = -np.real(1j * w[body] * _ev(f, 1j * w[body]))
+    if _continued(e):
+        out[body] = -np.real(1j * w[body] * _ev(e.children[0], 1j * w[body]))
         return out
     lags, back = np.unique(w[body], return_inverse=True)
     quad = 0.0 if m is None else _by_columns(_spectral_integral, m, lags)
@@ -753,32 +754,49 @@ def _spectral_integral(m: FunctionExpr, w: np.ndarray) -> np.ndarray:
     return _gated(value, e.sum(0) + head_err + tail_err, 1e-7, what)
 
 
-def spectral_node(f: FunctionExpr) -> FunctionExpr:
-    """Wrap a drift+density Levy carrier into an evaluable radial profile.
+def spectral_node(carrier: FunctionExpr | LevyTriple) -> FunctionExpr:
+    """The profile drift*h^2 + integral (1 - cos(s h)) mu(ds) of a catalog
+    atom with a Levy triple, or of a LevyTriple, whose drift and density
+    the node holds. Every spectral node is a variogram in d = 1: the triple
+    needs no constant term and no atoms, and a density that no
+    continuation covers is checked decreasing on a log grid and
+    integrating min(2t, 1)."""
+    if isinstance(carrier, LevyTriple):
+        _check_measure(carrier)
+        density = () if carrier.density is None else (carrier.density,)
+        return _node("spectral", "levy", (("drift", float(carrier.drift)),), density)
+    return _node("spectral", children=(carrier,))
 
-    Every spectral node is a variogram in d = 1: the Levy triple needs a
-    vanishing constant term, and a density m other than a catalog atom's
-    own is checked decreasing on a log grid and integrating min(2t, 1).
-    """
-    return _node("spectral", children=(f,))
 
-
-def _check_spectral_carrier(f: FunctionExpr) -> None:
-    if f.levy is None:
-        raise ConstructionError(
-            "spectral construction needs an expression carrying a Levy triple"
-        )
-    if f.levy.atoms:
+def _check_measure(t: LevyTriple) -> None:
+    if t.atoms:
         raise ConstructionError(
             "spectral construction requires a density representation of the "
             "Levy measure, not atoms"
         )
-    if f.levy.constant != 0.0:
+    if t.constant != 0.0:
         raise ConstructionError(
             "spectral construction requires a vanishing constant term"
         )
-    m = f.levy.density
-    if m is not None and not _own_catalog_triple(f):
+
+
+def _check_spectral(e: FunctionExpr) -> None:
+    """Refuse a spectral node that holds no carrier it can evaluate by,
+    and gate a density that no continuation covers."""
+    if e.name == "levy":
+        if [k for k, _ in e.params] != ["drift"] or len(e.children) > 1:
+            raise ConstructionError(
+                "a spectral node on a Levy triple holds its drift and at most one density"
+            )
+    elif e.name != "" or e.params or len(e.children) != 1 or e.children[0].levy is None:
+        raise ConstructionError(
+            "spectral construction needs a catalog atom carrying a Levy triple, "
+            "or a LevyTriple"
+        )
+    t = _carrier(e)
+    _check_measure(t)
+    m = t.density
+    if m is not None and not _continued(e):
         grid = np.logspace(-3, 3, 61)
         m_vals = evaluate(m, grid)
         rises = np.diff(m_vals)
@@ -804,44 +822,9 @@ def expr_to_json(e: FunctionExpr) -> dict:
             d["rule"] = e.name
         if e.alpha is not None:
             d["alpha"] = e.alpha
-        if e.kind == "affine":
-            d.update(e.params_dict)
+        d.update(e.params)
         d["args"] = [expr_to_json(c) for c in e.children]
-    if _foreign_levy(e):
-        d["levy"] = _levy_to_json(e.levy)
     return d
-
-
-def _levy_to_json(t: LevyTriple | None) -> dict | None:
-    if t is None:
-        return None
-    d: dict = {"drift": t.drift, "constant": t.constant}
-    if t.atoms:
-        d["atoms"] = [list(a) for a in t.atoms]
-    if t.density is not None:
-        d["density"] = expr_to_json(t.density)
-    return d
-
-
-def _levy_from_json(d) -> LevyTriple | None:
-    """A triple {drift, constant, atoms: [[t, mass], ...] or density: expr}."""
-    if d is None:
-        return None
-    if not isinstance(d, dict):
-        raise ParameterError(f"expression 'levy' must be an object, got {d!r}")
-    _known_keys(d, tuple(f.name for f in fields(LevyTriple)), "expression 'levy'")
-    atoms = d.get("atoms", [])
-    if not isinstance(atoms, (list, tuple)) or not all(
-            isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms):
-        raise ParameterError(f"Levy 'atoms' must be [location, mass] pairs, got {atoms!r}")
-    density = d.get("density")
-    return LevyTriple(
-        drift=_number(d.get("drift", 0.0), "Levy drift"),
-        constant=_number(d.get("constant", 0.0), "Levy constant"),
-        atoms=tuple((_number(t, "Levy atom location"), _number(m, "Levy atom mass"))
-                    for t, m in atoms),
-        density=None if density is None else expr_from_json(density),
-    )
 
 
 def _field(d: dict, key: str, default=None) -> float:
@@ -868,8 +851,10 @@ _OPS = {
                 lambda e, x: _COMBINE[e.name][3](*e.children, x, e.alpha), True),
     "dualize": (1, ("rule",), lambda a, d: dualize(a[0], d.get("rule", "")), _ev_dualize, True),
     "uchiyama": (3, (), lambda a, d: uchiyama(*a), _ev_uchiyama, True),
-    "spectral": (1, (), lambda a, d: spectral_node(a[0]),
-                 lambda e, x: _spectral(e.children[0], np.abs(x)), True),
+    # _check_spectral refuses a carrier of another shape
+    "spectral": (None, ("rule", "drift"), lambda a, d: _node(
+        "spectral", d.get("rule", ""), [("drift", _field(d, "drift"))] if "drift" in d else (),
+        a), lambda e, x: _spectral(e, np.abs(x)), True),
     "affine": (1, ("shift", "scale"), lambda a, d: affine(
         a[0], shift=_field(d, "shift", 0.0), scale=_field(d, "scale", 1.0)),
         lambda e, x: e.params_dict["shift"] + e.params_dict["scale"] * _ev(e.children[0], x),
@@ -887,24 +872,20 @@ def expr_from_json(d: dict) -> FunctionExpr:
     if "atom" in d:
         if not isinstance(d["atom"], str):
             raise ParameterError(f"expression 'atom' must be a name, got {d['atom']!r}")
-        _known_keys(d, ("atom", "params", "levy"), f"expression atom '{d['atom']}'")
-        e = catalog(d["atom"], _json_field(d, "params", dict, {}, "an object"))
-    elif "op" in d:
+        _known_keys(d, ("atom", "params"), f"expression atom '{d['atom']}'")
+        return catalog(d["atom"], _json_field(d, "params", dict, {}, "an object"))
+    if "op" in d:
         op = d["op"]
         if not isinstance(op, str) or op not in _OPS:
             raise ParameterError(
                 f"unknown expression op '{op}'; expected one of {', '.join(_OPS)}")
         arity, own, build, *_ = _OPS[op]
-        _known_keys(d, ("op", "args", "levy", *own), f"expression op '{op}'")
+        _known_keys(d, ("op", "args", *own), f"expression op '{op}'")
         args = [expr_from_json(a) for a in _json_field(d, "args", list, [], "a list")]
         if arity is not None and len(args) != arity:
             raise ParameterError(f"{op} takes exactly {arity} argument(s), got {len(args)}")
-        e = build(args, d)
-    else:
-        raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
-    if "levy" in d:
-        e = with_levy(e, _levy_from_json(d["levy"]))
-    return e
+        return build(args, d)
+    raise ParameterError("expression JSON needs an 'atom' or an 'op' key")
 
 
 def _known_keys(d: dict, keys: tuple, what: str) -> None:

@@ -77,7 +77,7 @@ class AtomSpec:
     zero: Callable  # p -> limit at 0 (may be inf)
     inf: Callable  # p -> limit at +inf (nan if none exists)
     tags: Callable = field(default=lambda p: frozenset())
-    levy: Callable | None = None  # p -> triple spec dict, or None
+    levy: Callable | None = None  # p -> LevyTriple fields, density as JSON, or None
     # p -> (model type, largest d) for which the atom of |A xi| is valid
     norm_model: Callable | None = None
 
@@ -310,25 +310,22 @@ _register(AtomSpec(
     zero=lambda p: 0.0,
     inf=lambda p: 1.0 if p["a"] > 0 else 0.0,
     tags=lambda p: frozenset({"BF"}),
-    levy=lambda p: {"drift": 0.0, "constant": 0.0,
-                    "atoms": [(p["a"], 1.0)] if p["a"] > 0 else []},
+    levy=lambda p: {"atoms": ((p["a"], 1.0),) if p["a"] > 0 else ()},
 ))
 
 
 def _power_levy(p: dict) -> dict:
     if p["a"] == 1.0:
-        return {"drift": 1.0, "constant": 0.0, "atoms": []}
+        return {"drift": 1.0}
     # math.gamma, not scipy's, so that building the exponential covariance
     # (power(1/2)) imports no scipy. Both are within 5 ulp of the exact
-    # a/G(1-a), and nothing reads the last bits: _foreign_levy rebuilds both
-    # sides of its comparison here, and JSON never writes a catalog triple
-    return {"drift": 0.0, "constant": 0.0,
-            "density": {"op": "product", "args": [
-                {"atom": "const",
-                 "params": {"c": p["a"] / math.gamma(1.0 - p["a"])}},
-                {"op": "power", "alpha": -1.0 - p["a"],
-                 "args": [{"atom": "power", "params": {"a": 1.0}}]},
-            ]}}
+    # a/G(1-a). Every build of the atom derives its triple here, and JSON
+    # never writes it, so no two builds can disagree in the last bits
+    return {"density": {"op": "product", "args": [
+        {"atom": "const", "params": {"c": p["a"] / math.gamma(1.0 - p["a"])}},
+        {"op": "power", "alpha": -1.0 - p["a"],
+         "args": [{"atom": "power", "params": {"a": 1.0}}]},
+    ]}}
 
 
 _register(AtomSpec(
@@ -354,11 +351,10 @@ _register(AtomSpec(
     zero=lambda p: 0.0,
     inf=lambda p: math.inf,
     tags=lambda p: frozenset({"CBF"}),
-    levy=lambda p: {"drift": 0.0, "constant": 0.0,
-                    "density": {"op": "product", "args": [
-                        {"atom": "exp_decay", "params": {"a": 1.0}},
-                        {"atom": "recip", "params": {}},
-                    ]}},
+    levy=lambda p: {"density": {"op": "product", "args": [
+        {"atom": "exp_decay", "params": {"a": 1.0}},
+        {"atom": "recip", "params": {}},
+    ]}},
 ))
 
 _register(AtomSpec(
@@ -383,11 +379,10 @@ _register(AtomSpec(
     zero=lambda p: 0.0,
     inf=lambda p: p["lam"],
     tags=lambda p: frozenset({"CBF"}),
-    levy=lambda p: {"drift": 0.0, "constant": 0.0,
-                    "density": {"op": "product", "args": [
-                        {"atom": "const", "params": {"c": p["lam"] ** 2}},
-                        {"atom": "exp_decay", "params": {"a": p["lam"]}},
-                    ]}},
+    levy=lambda p: {"density": {"op": "product", "args": [
+        {"atom": "const", "params": {"c": p["lam"] ** 2}},
+        {"atom": "exp_decay", "params": {"a": p["lam"]}},
+    ]}},
 ))
 
 _register(AtomSpec(
@@ -530,8 +525,7 @@ _register(AtomSpec(
     zero=lambda p: p["c"],
     inf=lambda p: p["c"],
     tags=lambda p: frozenset({"CBF", "S"}) if p["c"] >= 0 else frozenset(),
-    levy=lambda p: ({"drift": 0.0, "constant": p["c"], "atoms": []}
-                    if p["c"] >= 0 else None),
+    levy=lambda p: {"constant": p["c"]} if p["c"] >= 0 else None,
 ))
 
 _register(AtomSpec(

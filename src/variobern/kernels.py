@@ -10,8 +10,9 @@ are a stationary covariance and a variogram respectively, tied together by
 the exact identity difference + sum = 2 gamma(eta). The nonstationary kernel
 g(|xi1|) + g(|xi2|) - g(|xi1 - xi2|) generalizes the fractional-Brownian
 covariance. The spectral construction turns a drift + decreasing-density
-Lévy carrier f into the one-dimensional variogram
-drift * xi^2 + integral (1 - cos(s xi)) mu(ds) with m(t) = mu[t, inf).
+Lévy carrier, a catalog atom or a LevyTriple, into the one-dimensional
+variogram drift * xi^2 + integral (1 - cos(s xi)) mu(ds) with
+m(t) = mu[t, inf).
 """
 
 from __future__ import annotations
@@ -123,25 +124,25 @@ def nonstationary_kernel(g, d: int) -> NonstationaryKernel:
 # ----------------------------------------------------------------------
 # spectral construction
 
-def spectral_variogram(f: FunctionExpr) -> Variogram:
-    """One-dimensional variogram from a drift + density Lévy carrier.
+def spectral_variogram(f: FunctionExpr | alg.LevyTriple) -> Variogram:
+    """One-dimensional variogram from a drift + density Lévy carrier f, a
+    catalog atom or a LevyTriple, named in the construction string.
 
-    algebra.spectral_node requires a vanishing constant term. The resulting
-    model evaluates gamma(xi) = drift * xi^2 + integral (1 - cos(s xi)) mu(ds)
-    as -Re(i xi f(i xi)) for a continued catalog atom carrying its own Lévy
-    triple, which the catalog states and so is not gated numerically. Any
-    other carrier's density m is gated (decreasing, integrating min(2t, 1))
-    and gamma is drift * xi^2 + xi integral sin(s xi) m(s) ds by
-    Gauss-Kronrod quadrature, its tail summed over half periods: each
-    distinct lag of a call once, with no cache between calls.
+    The model evaluates gamma(xi) = drift * xi^2 + integral (1 - cos(s xi))
+    mu(ds) as -Re(i xi f(i xi)) for a continued catalog atom, whose catalog
+    triple is not gated numerically. A LevyTriple's density m is gated
+    (decreasing, integrating min(2t, 1)) and gamma is drift * xi^2 +
+    xi integral sin(s xi) m(s) ds by Gauss-Kronrod quadrature, its tail
+    summed over half periods: each distinct lag of a call once, with no
+    cache between calls.
     """
     return make_variogram(alg.spectral_node(f), d=1, mode="norm",
-                          construction=f"spectral_variogram({alg.describe(f)})")
+                          construction=f"spectral_variogram({f!r})")
 
 
 def spectral_reference(f: FunctionExpr, xi):
-    """-Re(i xi f(i xi)) where f extends analytically, whatever Lévy triple
-    f carries; tests compare the spectral construction against it."""
+    """-Re(i xi f(i xi)) where f extends analytically; tests compare the
+    spectral construction against it."""
     x = np.asarray(xi, dtype=float)
     z = 1j * x
     vals = alg.evaluate_complex(f, z)

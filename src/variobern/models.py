@@ -397,15 +397,20 @@ def model_to_json(m: _RadialModel) -> dict:
 
 
 def model_from_json(d: dict):
+    """The model of d. A key model_to_json does not write for d's type, other
+    than the ignored "sill", is refused, and so is a missing "type"."""
     if not isinstance(d, dict):
         raise ParameterError("model JSON must be an object")
-    for key in ("profile", "mode", "d"):
+    kind = d.get("type")
+    alg._known_keys(d, ("type", "profile", "mode", "A", "d", "certified", "certificate",
+                        "construction", *(("support_radius",) if kind != "variogram" else ()),
+                        "sill"), "model JSON")
+    for key in ("type", "profile", "mode", "d"):
         if key not in d:
             raise ParameterError(f"model JSON is missing the '{key}' field")
     shared = dict(profile=alg.expr_from_json(d["profile"]), mode=d["mode"],
                   anisotropy=d.get("A"), d=_number(d["d"], "model dimension 'd'", int),
                   construction=d.get("construction", ""))
-    kind = d.get("type", "variogram")
     if kind == "covariance":
         sr = d.get("support_radius")
         return StationaryCovariance(**shared, support_radius=math.inf if sr is None

@@ -12,7 +12,8 @@ faults: no header row; a header of another form; then, row by row in file
 order, a row of the wrong length, and in that row, column by column, a cell
 that is not a number or not finite (each with its line in the file, blank
 lines counted, and the column name); and last, a header without data rows.
-Every message but the last names the file.
+A cell longer than the csv module's field limit (131072 characters) is a
+fault of its row wherever it is. Every message but the last names the file.
 
 The common file, plain numbers one row per line, is parsed by numpy's C
 reader (``np.loadtxt``), which gives the same doubles as ``float()``.
@@ -94,7 +95,7 @@ def read_points_csv(path) -> PointSet:
     """Read a site file, in the format of the module docstring."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next((r for r in reader if "".join(r).strip()), None)
+        header = next((r for r in _rows(path, reader, 0) if "".join(r).strip()), None)
         header_line = reader.line_num
         body = fh.read()
     if header is None:
@@ -128,7 +129,7 @@ def _parse_rows(path, header: list[str], body: str, first_line: int) -> np.ndarr
     the file, where body starts after line first_line."""
     reader = csv.reader(io.StringIO(body, newline=""))
     data = []
-    for row in reader:
+    for row in _rows(path, reader, first_line):
         if not "".join(row).strip():
             continue
         i = first_line + reader.line_num
@@ -151,6 +152,16 @@ def _parse_rows(path, header: list[str], body: str, first_line: int) -> np.ndarr
                 )
             data.append(v)
     return np.array(data, dtype=float).reshape(-1, len(header))
+
+
+def _rows(path, reader, first_line: int):
+    """reader's rows; a row the csv module refuses (a cell above its field
+    limit) raises ParameterError with its line in the file, where reader
+    starts after line first_line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParameterError(f"{path}: row {first_line + reader.line_num}: {exc}") from None
 
 
 def write_points_csv(ps: PointSet, path) -> None:

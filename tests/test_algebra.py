@@ -596,6 +596,34 @@ def test_levy_integral_follows_the_density_far_from_the_unit_scale(lam):
     assert np.max(np.abs(got - vb.evaluate(f, x)) / vb.evaluate(f, x)) <= 1e-10
 
 
+# every atom with a catalog triple: its sample parameters first, then values
+# at or near each edge of its ParamSpec (const's triple needs c >= 0), and
+# the worst relative gap |levy_eval - evaluate| / |evaluate| allowed on
+# LEVY_X, from the first measured run (0, 0, 4.5e-10, 3.1e-16, 7.1e-11):
+# atoms and constants reuse the atom's own formula, densities take quadrature
+_TRIPLE_AUDIT = {
+    "const": ([{"c": 1.0}, {"c": 0.0}, {"c": 1e6}], 0.0),
+    "exp_one_minus": ([{"a": 1.0}, {"a": 0.0}, {"a": 1e-6}, {"a": 1e6}], 0.0),
+    "frac_linear": ([{"lam": 1.0}, {"lam": 1e-6}, {"lam": 1e6}], 1e-9),
+    "log1p": ([{}], 1e-15),
+    "power": ([{"a": 1.0}, {"a": 0.01}, {"a": 0.5}, {"a": 0.99}], 2e-10),
+}
+
+
+def test_the_triple_audit_covers_every_atom_with_a_triple():
+    assert set(_TRIPLE_AUDIT) == {n for n, spec in REGISTRY.items() if spec.levy is not None}
+    for name, (params, _) in _TRIPLE_AUDIT.items():
+        assert params[0] == _sample_params(REGISTRY[name])
+
+
+@pytest.mark.parametrize("f, bound", [
+    (vb.catalog(name, p), bound)
+    for name, (params, bound) in _TRIPLE_AUDIT.items() for p in params], ids=repr)
+def test_catalog_triple_evaluates_to_its_atom(f, bound):
+    got, want = vb.levy_eval(f.levy, LEVY_X), vb.evaluate(f, LEVY_X)
+    assert (np.abs(got - want) <= bound * np.abs(want)).all()
+
+
 def test_levy_eval_calls_evaluate_once_per_level(monkeypatch):
     """The integrand reads the density through the module's evaluate, all
     points of one level in one call."""
@@ -712,31 +740,35 @@ def _json_round_trip(e):
 
 
 def test_expr_json_keeps_a_foreign_levy_triple():
-    """A spectral variogram on a with_levy carrier reloads as itself."""
-    carrier = vb.with_levy(vb.catalog("log1p"), vb.catalog("frac_linear", {"lam": 1.0}).levy)
-    model = vb.spectral_variogram(carrier)
+    """A spectral variogram on frac_linear(1)'s triple, held by the node as a
+    free-standing carrier, reloads as itself."""
+    model = vb.spectral_variogram(vb.catalog("frac_linear", {"lam": 1.0}).levy)
     back = vb.model_from_json(json.loads(json.dumps(vb.model_to_json(model))))
-    assert back.profile == model.profile
+    assert back.profile == model.profile and back.construction == model.construction
     lags = np.array([[0.5], [2.0], [7.0]])
     assert np.array_equal(back(lags), model(lags))
     assert back(np.array([[2.0]]))[0] == pytest.approx(0.8, rel=1e-9)
 
 
 @pytest.mark.parametrize("e", [
-    vb.with_levy(vb.affine(vb.catalog("power", {"a": 1.0}), scale=2.0),
-                 vb.catalog("power", {"a": 0.5}).levy),
-    vb.with_levy(vb.catalog("log1p"), vb.catalog("exp_one_minus", {"a": 1.5}).levy),
-    vb.with_levy(vb.catalog("log1p"), vb.LevyTriple(drift=0.5, constant=0.25)),
-    vb.with_levy(vb.catalog("log1p"), None),
-], ids=["op_node", "atoms", "drift_only", "none"])
+    vb.affine(vb.spectral_node(vb.catalog("power", {"a": 0.5}).levy), scale=2.0),
+    vb.spectral_node(vb.catalog("log1p")),
+    vb.spectral_node(vb.LevyTriple(drift=0.5)),
+    vb.spectral_node(vb.LevyTriple()),
+], ids=["op_node", "atom_carrier", "drift_only", "none"])
 def test_expr_json_levy_round_trip(e):
+    """Both kinds of carrier, alone and below an op node, reload to the same
+    node, construction string and values, bit for bit."""
     back = _json_round_trip(e)
-    assert back == e and back.levy == e.levy
+    assert back == e and vb.describe(back) == vb.describe(e)
+    x = np.array([0.0, 0.3, 2.0, 7.0])
+    assert np.array_equal(vb.evaluate(back, x), vb.evaluate(e, x))
 
 
 def test_expr_json_writes_no_levy_a_node_rebuilds():
     for e in (vb.catalog("log1p"), vb.catalog("exp_one_minus", {"a": 2.0}),
-              vb.fsum(vb.catalog("log1p"), vb.catalog("power", {"a": 0.5}))):
+              vb.fsum(vb.catalog("log1p"), vb.catalog("power", {"a": 0.5})),
+              vb.spectral_node(vb.catalog("power", {"a": 0.5}))):
         assert "levy" not in json.dumps(vb.expr_to_json(e))
 
 
@@ -768,10 +800,8 @@ def test_power_levy_constant_is_exact_to_a_few_ulp():
 
 
 def test_exponential_covariance_json_carries_no_levy_triple():
-    """The power(1/2) atom rebuilds its own triple on load: none is written,
-    and the reloaded atom's triple is not foreign."""
-    from variobern.algebra import _foreign_levy
-
+    """The power(1/2) atom derives its own triple on load: none is written,
+    and the reloaded atom's triple is the catalog's."""
     model = vb.exponential_covariance(0.5, d=2)
     text = json.dumps(vb.model_to_json(model))
     assert "levy" not in text
@@ -779,37 +809,41 @@ def test_exponential_covariance_json_carries_no_levy_triple():
     assert back.profile == model.profile
     power = back.profile.children[1]
     assert power.name == "power" and power.levy.density is not None
-    assert not _foreign_levy(power) and not _foreign_levy(model.profile.children[1])
+    assert power.levy == model.profile.children[1].levy == vb.catalog("power", {"a": 0.5}).levy
 
 
 def test_describe_marks_a_foreign_levy_triple():
-    """Two spectral variograms on log1p, one on log1p's own triple and one on
-    frac_linear's, differ (gamma(2) = 2.214 against 0.8), and so do their
-    construction strings."""
+    """Two spectral variograms, one on the log1p atom and one on frac_linear's
+    triple as a free-standing carrier, differ (gamma(2) = 2.214 against
+    0.8), and each construction string names the carrier it evaluates."""
     own = vb.spectral_variogram(vb.catalog("log1p"))
-    carrier = vb.with_levy(vb.catalog("log1p"), vb.catalog("frac_linear", {"lam": 1.0}).levy)
-    foreign = vb.spectral_variogram(carrier)
+    free = vb.spectral_variogram(vb.catalog("frac_linear", {"lam": 1.0}).levy)
     assert own.construction == "spectral_variogram(log1p())"
-    assert foreign.construction.startswith("spectral_variogram(with_levy(log1p(), levy(")
-    assert foreign.construction != own.construction
+    text = "levy(drift=0, constant=0, density=product(const(c=1), exp_decay(a=1)))"
+    assert free.construction == f"spectral_variogram({text})"
+    assert vb.describe(free.profile) == f"spectral({text})"
 
 
 def test_describe_tells_foreign_levy_triples_apart():
+    """Spectral nodes on different carriers, or on one triple read through
+    the atom and as a free-standing carrier, never share a string, even
+    where the numbers agree to :g's six digits."""
     log1p = vb.catalog("log1p")
-    nodes = [log1p, vb.with_levy(log1p, log1p.levy), vb.with_levy(log1p, None),
-             vb.with_levy(log1p, vb.catalog("exp_one_minus", {"a": 1.5}).levy),
-             vb.with_levy(log1p, vb.catalog("exp_one_minus", {"a": 2.5}).levy),
-             vb.with_levy(log1p, vb.LevyTriple(drift=0.5, constant=0.25)),
-             vb.with_levy(log1p, vb.catalog("frac_linear", {"lam": 1.0}).levy),
-             vb.with_levy(log1p, vb.catalog("frac_linear", {"lam": 2.0}).levy)]
-    text = [vb.describe(e) for e in nodes]
-    assert text[0] == text[1] == "log1p()"
-    assert len(set(text[1:])) == len(nodes) - 1
-    # an operation node rebuilds without a triple, so any triple is marked
+    carriers = [log1p, log1p.levy, vb.LevyTriple(), vb.LevyTriple(drift=0.5),
+                vb.LevyTriple(drift=0.5000001), vb.catalog("frac_linear", {"lam": 2.0000001}),
+                vb.LevyTriple(drift=0.5, density=log1p.levy.density),
+                vb.catalog("frac_linear", {"lam": 1.0}).levy,
+                vb.catalog("frac_linear", {"lam": 2.0}).levy,
+                vb.catalog("frac_linear", {"lam": 2.0}),
+                vb.catalog("power", {"a": 0.5}), vb.catalog("power", {"a": 0.5}).levy,
+                vb.catalog("power", {"a": 1.0}), vb.catalog("power", {"a": 1.0}).levy]
+    text = [vb.describe(vb.spectral_node(c)) for c in carriers]
+    assert len(set(text)) == len(carriers)
+    constructions = {vb.spectral_variogram(c).construction for c in carriers}
+    assert len(constructions) == len(carriers)
+    assert vb.describe(log1p) == "log1p()"
     op = vb.affine(vb.catalog("power", {"a": 1.0}), scale=2.0)
     assert vb.describe(op) == "affine(power(a=1), shift=0, scale=2)"
-    assert vb.describe(vb.with_levy(op, vb.catalog("power", {"a": 0.5}).levy)
-                       ).startswith("with_levy(affine(power(a=1), shift=0, scale=2), levy(")
 
 
 @pytest.mark.parametrize("levy", [
@@ -819,8 +853,51 @@ def test_describe_tells_foreign_levy_triples_apart():
     {"density": {"atom": "nope", "params": {}}},
 ])
 def test_expr_json_malformed_levy_is_a_parameter_error(levy):
-    with pytest.raises(ParameterError):
+    """A "levy" key is refused as unknown, whatever it holds: on an atom
+    and on an op node alike, a triple is derived, never declared."""
+    with pytest.raises(ParameterError, match=r"unknown key\(s\) 'levy'; it takes atom, params$"):
         vb.expr_from_json({"atom": "log1p", "params": {}, "levy": levy})
+    with pytest.raises(ParameterError, match=r"op 'affine' has unknown key\(s\) 'levy'"):
+        vb.expr_from_json({"op": "affine", "args": [{"atom": "log1p"}], "levy": levy})
+
+
+_EXP_DENSITY = {"atom": "exp_decay", "params": {"a": 1.0}}
+
+
+@pytest.mark.parametrize("d, error, text", [
+    ({"op": "spectral", "rule": "levy", "args": [_EXP_DENSITY]}, ConstructionError,
+     "holds its drift"),
+    ({"op": "spectral", "rule": "levy", "drift": 0.0, "args": [_EXP_DENSITY] * 2},
+     ConstructionError, "at most one density"),
+    ({"op": "spectral", "rule": "levy", "drift": "x", "args": []}, ParameterError, "malformed"),
+    ({"op": "spectral", "rule": "levy", "drift": True, "args": []}, ParameterError, "malformed"),
+    ({"op": "spectral", "rule": "levy", "drift": -1.0, "args": []}, ParameterError,
+     "drift >= 0"),
+    ({"op": "spectral", "rule": "levy", "drift": 0.0, "args": [
+        {"atom": "power", "params": {"a": 0.5}}]}, ParameterError, "decreasing"),
+    ({"op": "spectral", "rule": "levy", "drift": 0.0, "args": [
+        {"atom": "recip", "params": {}}]}, QuadratureError, "min"),
+    ({"op": "spectral", "rule": "levi", "drift": 0.0, "args": []}, ConstructionError,
+     "catalog atom carrying a Levy triple"),
+    ({"op": "spectral", "drift": 5.0, "args": [{"atom": "log1p"}]}, ConstructionError,
+     "catalog atom carrying a Levy triple"),
+    ({"op": "spectral", "args": []}, ConstructionError, "catalog atom carrying"),
+    ({"op": "spectral", "args": [{"atom": "log1p"}] * 2}, ConstructionError,
+     "catalog atom carrying"),
+    ({"op": "spectral", "args": [{"op": "affine", "args": [{"atom": "log1p"}]}]},
+     ConstructionError, "catalog atom carrying"),
+    ({"op": "spectral", "args": [{"atom": "exp_one_minus", "params": {"a": 1.0}}]},
+     ConstructionError, "not atoms"),
+    ({"op": "spectral", "args": [{"atom": "const", "params": {"c": 1.0}}]},
+     ConstructionError, "vanishing constant"),
+], ids=["no_drift", "two_densities", "drift_string", "drift_bool", "drift_negative",
+        "rising_density", "divergent_density", "unknown_rule", "drift_on_atom", "no_atom",
+        "two_atoms", "op_carrier", "atom_measure", "atom_constant"])
+def test_spectral_json_refuses_a_carrier_it_cannot_evaluate(d, error, text):
+    """A spectral op holds one catalog atom with a Levy triple, or rule
+    "levy" with a drift and at most one decreasing, integrable density."""
+    with pytest.raises(error, match=text):
+        vb.expr_from_json(d)
 
 
 def test_expr_json_errors():
@@ -877,8 +954,7 @@ def _in_args(key):
 
 
 def _in_density(key):
-    return {"atom": "log1p", "levy": {"density": {
-        "atom": "frac_linear", "params": {"lam": 1.0}, **key}}}
+    return {"op": "spectral", "rule": "levy", "drift": 0.0, "args": [{**_EXP_DENSITY, **key}]}
 
 
 @pytest.mark.parametrize("tags", [[], ["BF"], ["XYZ"], 5], ids=repr)
@@ -900,11 +976,13 @@ def test_unknown_key_is_refused_at_every_depth(place, key):
 
 
 def test_levy_object_takes_only_the_triple_keys():
-    with pytest.raises(ParameterError, match="'levy' must be an object"):
+    """A triple's JSON is the spectral op's rule "levy", which takes its
+    drift and the density as its argument; a "levy" object is refused."""
+    with pytest.raises(ParameterError, match="unknown key.*'levy'; it takes atom, params$"):
         vb.expr_from_json({"atom": "log1p", "levy": [1.0]})
-    with pytest.raises(ParameterError, match="'levy' has unknown key.*'dirft'.*drift, "
-                                             "constant, atoms, density"):
-        vb.expr_from_json({"atom": "log1p", "levy": {"dirft": 1.0}})
+    with pytest.raises(ParameterError, match="op 'spectral' has unknown key.*'dirft'; "
+                                             "it takes op, args, rule, drift$"):
+        vb.expr_from_json({"op": "spectral", "rule": "levy", "dirft": 1.0, "args": []})
 
 
 @pytest.mark.parametrize("e", [

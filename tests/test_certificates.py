@@ -13,7 +13,7 @@ import pytest
 
 import variobern as vb
 from variobern.cli import main
-from variobern.errors import DegenerateSystemError, ParameterError
+from variobern.errors import ConstructionError, DegenerateSystemError, ParameterError
 
 from conftest import certified_variogram_zoo, covariance_catalog, seeded_sets
 
@@ -128,7 +128,7 @@ def _one_node_of_each_kind():
             *(vb.dualize(f, rule) for rule in vb.algebra.DUALIZE_RULES),
             vb.affine(vb.dualize(f, "x_over_f"), shift=1.0, scale=2.0),
             vb.uchiyama(g, f, g), vb.spectral_node(g), vb.spectral_node(f),
-            vb.spectral_node(vb.with_levy(g, vb.LevyTriple(density=density)))]
+            vb.spectral_node(vb.LevyTriple(density=density))]
 
 
 @pytest.mark.parametrize("x", [0.0, np.inf])
@@ -162,7 +162,7 @@ def test_a_spectral_node_is_exactly_zero_at_zero_whatever_its_density_reads():
     alg = vb.algebra
     g = vb.catalog("log1p")
     density = vb.fprod(vb.catalog("exp_decay", {"a": 1.0}), vb.dualize(g, "f_over_x"))
-    node = vb.spectral_node(vb.with_levy(g, vb.LevyTriple(density=density)))
+    node = vb.spectral_node(vb.LevyTriple(density=density))
     assert alg._exact_limit(node, 0.0) == 0.0
     assert alg._exact_limit(node, np.inf) is None
     assert alg._exact_limit(vb.compose(node, vb.catalog("recip")), 0.0) is None
@@ -179,13 +179,30 @@ def test_derived_tags_cannot_be_set():
 
 
 def test_spectral_carrier_is_gated_on_every_construction():
-    node = vb.spectral_node(vb.catalog("log1p"))
-    rising = vb.with_levy(vb.catalog("log1p"),
-                          vb.LevyTriple(density=vb.catalog("power", {"a": 0.5})))
+    node = vb.spectral_node(vb.catalog("log1p").levy)
+    rising = vb.catalog("power", {"a": 0.5})
     with pytest.raises(ParameterError, match="decreasing"):
         dataclasses.replace(node, children=(rising,))
     with pytest.raises(ParameterError, match="decreasing"):
-        vb.FunctionExpr("spectral", children=(rising,))
+        vb.FunctionExpr("spectral", "levy", (("drift", 0.0),), (rising,))
+    atom = vb.spectral_node(vb.catalog("log1p"))
+    with pytest.raises(ConstructionError, match="catalog atom carrying a Levy triple"):
+        dataclasses.replace(atom, children=(vb.affine(vb.catalog("log1p")),))
+    with pytest.raises(ConstructionError, match="catalog atom carrying a Levy triple"):
+        dataclasses.replace(atom, params=(("drift", 5.0),))
+
+
+def test_levy_triple_cannot_be_set():
+    """A node's Levy triple is derived like its tags: an atom's from the
+    catalog, None on every other node; nothing can attach another."""
+    e = vb.catalog("log1p")
+    with pytest.raises(ValueError):
+        dataclasses.replace(e, levy=vb.LevyTriple(drift=5.0))
+    with pytest.raises(TypeError):
+        vb.FunctionExpr("atom", "log1p", levy=vb.LevyTriple(drift=5.0))
+    assert dataclasses.replace(e).levy == e.levy and e.levy.density is not None
+    assert vb.affine(e).levy is None and vb.spectral_node(e).levy is None
+    assert [n for n in vb.__all__ if "levy" in n.lower()] == ["LevyTriple", "levy_eval"]
 
 
 def test_certificate_is_computed_once():
@@ -212,11 +229,8 @@ def test_declared_tags_do_not_certify():
 
 
 def test_rising_density_carrier_is_refused_by_spectral_node():
-    carrier = vb.with_levy(
-        vb.fsum(vb.catalog("log1p"), vb.catalog("const", {"c": 0.0})),
-        vb.LevyTriple(density=vb.catalog("power", {"a": 0.5})))
     with pytest.raises(ParameterError, match="decreasing"):
-        vb.spectral_node(carrier)
+        vb.spectral_node(vb.LevyTriple(density=vb.catalog("power", {"a": 0.5})))
 
 
 # ----------------------------------------------------------------------

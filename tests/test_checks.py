@@ -707,8 +707,7 @@ RADIAL_MODELS = {
     "wendland_aniso_d3": lambda: vb.wendland(1.5, 3, 3, A=_A3),
     "exponential_aniso_d2": lambda: vb.exponential_covariance(1.5, d=2, A=_A2),
     "spectral_d1": lambda: vb.spectral_variogram(vb.catalog("log1p")),
-    "spectral_quadrature_d1": lambda: vb.spectral_variogram(
-        vb.with_levy(vb.affine(vb.catalog("log1p")), vb.catalog("log1p").levy)),
+    "spectral_quadrature_d1": lambda: vb.spectral_variogram(vb.catalog("log1p").levy),
 }
 
 

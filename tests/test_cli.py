@@ -118,6 +118,24 @@ def test_validate_refuses_its_selection_before_any_oracle_runs(
     assert message in err
 
 
+_LONG_CELL = '"' + "1" * 140001 + '"'
+
+
+@pytest.mark.parametrize("text, row", [
+    (f"x1,{_LONG_CELL}\n0.0,1.0\n", 1),
+    (f"x1,value\n0.0,1.0\n\n1.0,{_LONG_CELL}\n", 4),
+], ids=["header", "body"])
+def test_validate_refuses_a_site_cell_above_the_csv_field_limit(capsys, tmp_path, text, row):
+    """A quoted cell longer than the csv module's field limit, which numpy's
+    reader cannot take either, is exit 2 naming the file and the row in
+    the header scan and in the body alike, not a traceback."""
+    path = tmp_path / "sites.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", "--model", CUBIC, "--points", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: row {row}: field larger than field limit (131072)\n"
+
+
 def test_validate_profile_checks_run_without_points(capsys):
     # cm applies to the covariance profile, profile_shape to a variogram's
     code, out, _ = run(capsys, "validate", "--model", EXP_COV,

@@ -210,18 +210,15 @@ def test_spectral_gates_in_order_and_quietly():
     """A nonzero constant is refused before the density is looked at, a
     rising density before any quadrature, and a jump measure that does not
     integrate min(s, s^2) raises QuadratureError without leaking a warning."""
-    carrier = vb.fsum(vb.catalog("log1p"), vb.catalog("const", {"c": 0.0}))
     rising = vb.catalog("power", {"a": 0.5})
     with pytest.raises(ConstructionError, match="constant"):
-        vb.spectral_variogram(vb.with_levy(
-            carrier, vb.LevyTriple(constant=1.0, density=rising)))
+        vb.spectral_variogram(vb.LevyTriple(constant=1.0, density=rising))
     with pytest.raises(ParameterError, match="decreasing"):
-        vb.spectral_variogram(vb.with_levy(carrier, vb.LevyTriple(density=rising)))
+        vb.spectral_variogram(vb.LevyTriple(density=rising))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="min"):
-            vb.spectral_variogram(vb.with_levy(
-                carrier, vb.LevyTriple(density=vb.catalog("recip"))))
+            vb.spectral_variogram(vb.LevyTriple(density=vb.catalog("recip")))
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +243,9 @@ SPECTRAL_CARRIERS = [
 
 
 def by_quadrature(f):
-    """A spectral node on f's own triple that cannot take the continuation."""
-    return vb.spectral_node(vb.with_levy(vb.affine(f), f.levy))
+    """A spectral node on f's catalog triple as a free-standing carrier,
+    which has no continuation."""
+    return vb.spectral_node(f.levy)
 
 
 def test_every_continued_atom_is_sampled():
@@ -292,14 +290,31 @@ def test_spectral_quadrature_on_densities_far_from_the_test_carriers(f, lags):
     assert np.max(np.abs(quad - closed) / closed) <= 1e-10
 
 
-def test_a_foreign_triple_is_never_read_through_the_continuation():
-    """log1p carrying frac_linear(1)'s triple is frac_linear's variogram."""
-    carrier = vb.with_levy(vb.catalog("log1p"),
-                           vb.catalog("frac_linear", {"lam": 1.0}).levy)
-    got = vb.evaluate(vb.spectral_node(carrier), SPECTRAL_LAGS)
+def test_a_foreign_triple_is_never_read_through_the_continuation(monkeypatch):
+    """frac_linear(1)'s triple as a free-standing carrier is frac_linear's
+    variogram by quadrature: no complex argument reaches any node."""
+    real = alg._ev
+    complex_calls = []
+    monkeypatch.setattr(alg, "_ev", lambda e, x: complex_calls.append(
+        np.iscomplexobj(x)) or real(e, x))
+    got = vb.evaluate(by_quadrature(vb.catalog("frac_linear", {"lam": 1.0})), SPECTRAL_LAGS)
     x = SPECTRAL_LAGS
     assert np.max(np.abs(got - x**2 / (1.0 + x**2)) / got) <= 1e-11
-    assert not np.allclose(got, x * np.arctan(x), rtol=1e-3)
+    assert complex_calls and not any(complex_calls)
+
+
+def test_a_spectral_node_evaluates_the_carrier_it_names():
+    """The drift-5 triple is 5 h^2 and names its triple; the log1p atom is
+    h arctan(h) and names log1p. No node holds a triple it does not
+    evaluate by."""
+    h = np.array([0.5, 1.0, 3.0])
+    drift = vb.spectral_variogram(vb.LevyTriple(drift=5.0))
+    assert drift.construction == "spectral_variogram(levy(drift=5, constant=0))"
+    assert np.array_equal(drift(h[:, None]), 5.0 * h * h)
+    log1p = vb.spectral_variogram(vb.catalog("log1p"))
+    assert log1p.construction == "spectral_variogram(log1p())"
+    assert np.allclose(log1p(h[:, None]), h * np.arctan(h), rtol=1e-14)
+    assert drift.profile.levy is None and log1p.profile.levy is None
 
 
 @pytest.mark.parametrize("node", [vb.spectral_node, by_quadrature],
@@ -317,9 +332,9 @@ def test_one_integral_of_m_gates_levy_eval_and_the_spectral_node():
     density = vb.catalog("frac_linear", {"lam": 1.2345}).levy.density
     triple = vb.LevyTriple(density=density)
     before = alg._levy_moment_finite.cache_info()
-    vb.spectral_node(vb.with_levy(vb.affine(vb.catalog("log1p")), triple))
+    vb.spectral_node(triple)
     vb.levy_eval(triple, 1.0)
-    vb.spectral_node(vb.with_levy(vb.catalog("log1p"), triple))
+    vb.spectral_variogram(triple)
     after = alg._levy_moment_finite.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 2

@@ -374,6 +374,33 @@ def test_model_json_errors():
         vb.model_from_json(j)
 
 
+_MODEL_KEYS = ("type, profile, mode, A, d, certified, certificate, construction, "
+               "support_radius, sill")
+
+
+@pytest.mark.parametrize("right, typo", [
+    ("support_radius", "suport_radius"), ("A", "a"), ("type", "tpye"),
+])
+def test_model_json_refuses_a_misspelt_key(right, typo):
+    """Each typo used to load another model: a spherical covariance with
+    infinite support, an isotropic model, and a variogram."""
+    j = vb.model_to_json(vb.spherical_covariance(1.0, d=2, A=np.diag([2.0, 1.0])))
+    j[typo] = j.pop(right)
+    with pytest.raises(ParameterError, match=rf"^model JSON has unknown key\(s\) '{typo}'; "
+                                             rf"it takes {_MODEL_KEYS}$"):
+        vb.model_from_json(j)
+
+
+def test_model_json_needs_its_type_and_only_its_type_keys():
+    j = vb.model_to_json(vb.spherical(1.0, d=2))
+    del j["type"]
+    with pytest.raises(ParameterError, match="missing the 'type' field"):
+        vb.model_from_json(j)
+    v = vb.model_to_json(vb.spherical(1.0, d=2))
+    with pytest.raises(ParameterError, match="unknown key\\(s\\) 'support_radius'"):
+        vb.model_from_json({**v, "support_radius": 1.0})
+
+
 # ----------------------------------------------------------------------
 # the zoo is actually certified and actually permissible
 

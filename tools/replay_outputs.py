@@ -27,7 +27,12 @@ check) run once on the fixed inputs of ``EXTRA`` and land the same way in
 ``DIR/extra/``. So do eight dense krige jobs on site files that the site
 reader reads off its common path or refuses: quoted numbers, blank rows of
 whitespace or commas, ``3_0``, CRLF endings, a header without rows, a
-ragged row, an ``inf`` cell and a ``-0.0`` duplicate of ``0.0``. Replaying two
+ragged row, an ``inf`` cell and a ``-0.0`` duplicate of ``0.0``. So do the
+model-JSON cases: a validate of a spectral variogram on a free-standing Lévy
+triple (``{"op": "spectral", "rule": "levy", ...}``) on d = 1 sites, a grid
+of a spectral variogram whose log1p atom carries the removed per-node
+``"levy"`` key, and grids of a spherical covariance with ``support_radius``,
+``A`` or ``type`` misspelt. Replaying two
 checkouts into two directories and running ``diff -r`` on them shows every
 byte a change moved. Because the work directory is shared, replays run one
 after the other: a replay holds a lock on it and refuses to start while
@@ -105,6 +110,22 @@ WENDLAND = json.dumps({"type": "covariance", "mode": "norm", "d": 2,
                                    "params": {"r": 1.5, "l": 2}}})
 SQUARED_NORM = json.dumps({"type": "variogram", "mode": "squared_norm", "d": 2,
                            "profile": {"atom": "power", "params": {"a": 1.0}}})
+# frac_linear(1)'s Levy density, as a spectral variogram's free-standing
+# carrier with drift 0.5, and as the removed "levy" key on a log1p atom
+FRAC_DENSITY = {"op": "product", "args": [{"atom": "const", "params": {"c": 1.0}},
+                                          {"atom": "exp_decay", "params": {"a": 1.0}}]}
+SPECTRAL_TRIPLE = json.dumps({"type": "variogram", "mode": "norm", "d": 1, "profile": {
+    "op": "spectral", "rule": "levy", "drift": 0.5, "args": [FRAC_DENSITY]}})
+LEVY_KEY = json.dumps({"type": "variogram", "mode": "norm", "d": 1, "profile": {
+    "op": "spectral", "args": [{"atom": "log1p", "params": {},
+                                "levy": {"density": FRAC_DENSITY}}]}})
+# the anisotropic spherical covariance with one key misspelt each
+SPHERICAL_COV = {"type": "covariance", "mode": "norm", "d": 2, "A": [[2.0, 0.0], [0.0, 1.0]],
+                 "support_radius": 1.5, "profile": {
+                     "op": "affine", "scale": -1.0, "shift": 1.0,
+                     "args": [{"atom": "spherical_profile", "params": {"range": 1.5}}]}}
+TYPOS = {typo: json.dumps({typo if k == key else k: v for k, v in SPHERICAL_COV.items()})
+         for key, typo in (("support_radius", "suport_radius"), ("A", "a"), ("type", "tpye"))}
 
 
 def _line(atom: str, params: dict, mode: str) -> str:
@@ -141,6 +162,7 @@ SITE_SETS = {
     "LATTICE": "x1,x2,value\n" + "".join(
         f"{0.5 * i},{0.5 * j},{(i * j) % 3 + 0.25 * i}\n"
         for i in range(4) for j in range(4)),
+    "LINE": "x1\n" + "".join(f"{0.37 * i * i}\n" for i in range(9)),
     **READER_CASES,
 }
 # job id -> (output suffix, argv without --out; a SITE_SETS key is its CSV path)
@@ -176,6 +198,11 @@ EXTRA = {
     **{f"krige_{sites.lower()}": (".json", [
         "krige", "--model", SPHERICAL, "--points", sites, "--grid", "0:1:2,0:1:2"])
        for sites in READER_CASES},
+    "validate_spectral_triple": (".json", ["validate", "--model", SPECTRAL_TRIPLE,
+                                           "--points", "LINE"]),
+    "grid_levy_key": (".csv", ["grid", "--model", LEVY_KEY, "--grid", "0:4:5"]),
+    **{f"grid_typo_{typo}": (".csv", ["grid", "--model", model, "--grid", "0:2:3,0:1:2"])
+       for typo, model in TYPOS.items()},
 }
 
 
